@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark: compiled core vs pure-Python core on the hot loops.
 
-Run from the repository root after building the extension in place:
+Run from the repository root:
 
-    python setup.py build_ext --inplace
     PYTHONPATH=src python benchmarks/bench_core.py
 
-Both backends produce identical outputs (the equivalence suite enforces
-this); the only question here is speed.
+The first import compiles the native kernel into the user cache (see
+``mirrorlab._core``).  Both backends produce identical outputs (the
+equivalence suite enforces this); the only question here is speed.  Without
+a compiled core only the Python column is printed.
 """
 
 import sys
@@ -28,35 +29,46 @@ def timed(fn, *args, **kwargs):
     return time.perf_counter() - t0, out
 
 
+def row(label, fast, py, unit=""):
+    """One line; ``fast`` is None without a compiled core."""
+    if fast is None:
+        print(f"{label:<42} {'-':>10} {py:>10.1f}{unit:<2} {'-':>8}")
+    else:
+        print(f"{label:<42} {fast:>8.1f}{unit:<2} {py:>10.1f}{unit:<2} "
+              f"{py / fast:>8.0f}x")
+
+
 def bench_batch(label, cfg, alice, bob, trials_fast, trials_py):
-    tf, rf = timed(_core.play_batch, cfg, alice, bob, 1, 0, trials_fast)
     tp, rp = timed(_core.play_batch, cfg, alice, bob, 1, 0, trials_py,
                    force_python=True)
-    per_fast = tf / trials_fast * 1e6
-    per_py = tp / trials_py * 1e6
-    print(f"{label:<42} {per_fast:>10.1f} {per_py:>12.1f} {per_py / per_fast:>8.0f}x")
+    per_fast = None
+    if _core.HAVE_FAST:
+        tf, rf = timed(_core.play_batch, cfg, alice, bob, 1, 0, trials_fast)
+        per_fast = tf / trials_fast * 1e6
+    row(label, per_fast, tp / trials_py * 1e6)
+
+
+def bench_kernel(label, name, *args):
+    tp, rp = timed(getattr(_pycore, name), *args)
+    ms = None
+    if _core.HAVE_FAST:
+        tf, rf = timed(getattr(_core, name), *args)
+        assert rf == rp
+        ms = tf * 1e3
+    row(label, ms, tp * 1e3, "ms")
+    return rp
 
 
 def bench_sums():
     f = select_prime(10_000)
     xs = list(range(1, 9_937))
-    tf, rf = timed(_core.power_sums, xs, 64, f.q)
-    tp, rp = timed(_pycore.power_sums, xs, 64, f.q)
-    assert rf == rp
-    print(f"{'power_sums n=1e4 k=64':<42} {tf * 1e3:>9.1f}ms {tp * 1e3:>11.1f}ms "
-          f"{tp / tf:>8.0f}x")
-    e = rf
-    tf, rf2 = timed(_core.poly_root_scan, e, 10_000, f.q)
-    tp, rp2 = timed(_pycore.poly_root_scan, e, 10_000, f.q)
-    assert rf2 == rp2
-    print(f"{'poly_root_scan n=1e4 k=64':<42} {tf * 1e3:>9.1f}ms {tp * 1e3:>11.1f}ms "
-          f"{tp / tf:>8.0f}x")
+    e = bench_kernel("power_sums n=1e4 k=64", "power_sums", xs, 64, f.q)
+    bench_kernel("poly_root_scan n=1e4 k=64", "poly_root_scan", e, 10_000, f.q)
 
 
 def main():
     if not _core.HAVE_FAST:
-        print("compiled core not available; nothing to compare")
-        return
+        print(f"no compiled core ({_core.FALLBACK_REASON}); Python column only")
     print(f"{'game batches':<42} {'fast/game':>10} {'python/game':>12} {'speedup':>8}")
     print(f"{'(microseconds per game)':<42}")
     bench_batch("rand-log vs smallest-unsaid, n=100",

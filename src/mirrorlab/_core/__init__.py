@@ -1,41 +1,41 @@
 """Hot-loop backend selection.
 
 The batched game simulator and the prime-field kernels exist twice: a
-compiled Cython module (``_fastcore``) and a pure-Python twin (``_pycore``).
-Both implement the exact same deterministic randomness protocol, so results
-are identical either way -- only speed differs (see
-``benchmarks/bench_core.py``).
+native kernel in plain C (``kernel.c``, bound with ctypes in ``_kernel.py``)
+and a pure-Python twin (``_pycore``).  Both implement the exact same
+deterministic randomness protocol, so results are identical either way --
+only speed differs (see ``benchmarks/bench_core.py``).
 
-The compiled module comes from one of two places.  An installed build puts
-it next to this file.  Otherwise the committed C source ``_fastcore.c`` is
-compiled with the system ``cc`` on first import, into a per-user cache
-(``$XDG_CACHE_HOME/mirrorlab``, default ``~/.cache/mirrorlab``) keyed by a
-hash of the source and the interpreter's extension suffix; later imports
-load the cached file.  When neither works, or ``MIRRORLAB_PURE_PYTHON=1`` is
-set, the pure-Python core is used and ``FALLBACK_REASON`` says why (it is
-``None`` on the compiled core).  A failed build never makes the import fail.
+On first import ``kernel.c`` is compiled with the system ``cc`` into a
+per-user cache (``$XDG_CACHE_HOME/mirrorlab``, default ``~/.cache/mirrorlab``)
+keyed by a hash of the source and the interpreter's extension suffix;
+later imports load the cached library.  When that fails, or
+``MIRRORLAB_PURE_PYTHON=1`` is set, the pure-Python core is used and
+``FALLBACK_REASON`` says why (it is ``None`` on the compiled core).  A failed
+build never makes the import fail.
+
+Sizes past the kernel's integer limits raise ``ValueError`` on both backends,
+before anything of size n is allocated.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.machinery
-import importlib.util
 import os
 import shutil
 import signal
 import subprocess
-import sys
 import sysconfig
 import tempfile
 from pathlib import Path
 
 from . import _pycore
+from ._kernel import (Kernel, check_matching_size, check_modulus, check_size,
+                      check_trials)
 
-_SOURCE = Path(__file__).with_name("_fastcore.c")
-_MODULE_NAME = __name__ + "._fastcore"
-_COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~4 s on a 2-CPU x86-64
+_SOURCE = Path(__file__).with_name("kernel.c")
+_COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~0.5 s on a 2-CPU x86-64
 
 
 def _cache_dir() -> Path:
@@ -45,11 +45,11 @@ def _cache_dir() -> Path:
 
 
 def _compile(target: Path) -> str | None:
-    """Build ``_fastcore.c`` into ``target``; return why it failed, or None.
+    """Build ``kernel.c`` into ``target``; return why it failed, or None.
 
     The compiler writes a temporary file in the cache directory that is then
     renamed over ``target``, so concurrent first imports cannot see a
-    half-written module.
+    half-written library.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -60,8 +60,7 @@ def _compile(target: Path) -> str | None:
         os.close(fd)
     except OSError as exc:
         return f"cache not writable: {exc}"
-    cmd = [cc, "-O3", "-shared", "-fPIC",
-           "-I" + sysconfig.get_paths()["include"], str(_SOURCE), "-o", tmp]
+    cmd = [cc, "-O3", "-shared", "-fPIC", str(_SOURCE), "-o", tmp]
     try:
         # own process group, so a timeout kills the compiler's children too
         with subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
@@ -89,40 +88,26 @@ def _compile(target: Path) -> str | None:
     return None
 
 
-def _load(path: Path):
-    loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, str(path))
-    spec = importlib.util.spec_from_file_location(_MODULE_NAME, path,
-                                                  loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    sys.modules[_MODULE_NAME] = module
-    return module
-
-
 def _find_compiled():
-    """(compiled module, None), or (None, why the fallback is used)."""
+    """(compiled kernel, None), or (None, why the fallback is used)."""
     if os.environ.get("MIRRORLAB_PURE_PYTHON"):
         return None, "forced by MIRRORLAB_PURE_PYTHON"
-    try:
-        from . import _fastcore
-        return _fastcore, None
-    except ImportError:
-        pass
     try:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         return None, f"no C source to compile: {exc}"
+    # the interpreter's extension suffix names the platform and architecture
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     key = hashlib.sha256(source + suffix.encode()).hexdigest()[:16]
-    target = _cache_dir() / f"_fastcore-{key}{suffix}"
+    target = _cache_dir() / f"kernel-{key}{suffix}"
     if not target.exists():
         error = _compile(target)
         if error is not None:
             return None, error
     try:
-        return _load(target), None
-    except ImportError as exc:
-        return None, f"compiled module failed to load: {exc}"
+        return Kernel(target), None
+    except OSError as exc:
+        return None, f"compiled kernel failed to load: {exc}"
 
 
 _fast, FALLBACK_REASON = _find_compiled()
@@ -144,56 +129,67 @@ KERNEL_CODES = {
 }
 
 
+def check_config(config) -> None:
+    """ValueError when n, a or b is past the kernel's integer limits."""
+    for name in ("n", "a", "b"):
+        check_size(name, getattr(config, name))
+
+
 def power_sums(xs, k: int, q: int) -> list[int]:
+    check_size("k", k)
+    check_modulus(q)
     if HAVE_FAST:
-        return _fast.power_sums(list(xs), k, q)
+        return _fast.power_sums(xs, k, q)
     return _pycore.power_sums(xs, k, q)
 
 
 def full_power_sums(n: int, k: int, q: int) -> list[int]:
+    check_size("n", n)
+    check_size("k", k)
+    check_modulus(q)
     if HAVE_FAST:
         return _fast.full_power_sums(n, k, q)
     return _pycore.full_power_sums(n, k, q)
 
 
 def poly_root_scan(e, n: int, q: int) -> list[int]:
+    check_size("n", n)
+    check_modulus(q)
     if HAVE_FAST:
-        return _fast.poly_root_scan(list(e), n, q)
+        return _fast.poly_root_scan(e, n, q)
     return _pycore.poly_root_scan(e, n, q)
 
 
 def matching_from_seed(n: int, seed: int) -> list[int]:
+    check_matching_size(n)
     if HAVE_FAST:
         return _fast.matching_from_seed(n, seed)
     return _pycore.matching_from_seed(n, seed)
 
 
-def _kernel_args(config, alice_spec: str, bob_spec: str):
-    """Codes plus sketch parameters, or None when the kernel can't run this."""
+def route(config, alice_spec: str, bob_spec: str, *,
+          force_python: bool = False):
+    """("compiled", kernel arguments) when the kernel plays this matchup,
+    else ("python", None): the path ``play_game`` and ``play_batch`` take."""
+    if not HAVE_FAST or force_python:
+        return "python", None
     from ..strategies import parse_spec
 
     aname, aparams = parse_spec(alice_spec)
     bname, bparams = parse_spec(bob_spec)
-    if aparams or bparams:
-        return None
     acode = KERNEL_CODES.get(aname)
     bcode = KERNEL_CODES.get(bname)
-    if acode is None or bcode is None:
-        return None
-    if acode in (1, 3):  # mirror replies are Bob-side machines
-        return None
-    if bcode in (2, 7, 8):  # and these are Alice-side
-        return None
+    if (aparams or bparams or acode is None or bcode is None
+            or acode in (1, 3)     # mirror replies are Bob-side machines
+            or bcode in (2, 7, 8)):  # and these are Alice-side
+        return "python", None
     r = k = q = 0
     if acode == 8:
         from ..streamrec import sqrt_strategy_params
 
         r, k, field = sqrt_strategy_params(config.n)
         q = field.q
-    return acode, bcode, r, k, q
-
-
-_MASK64 = (1 << 64) - 1
+    return "compiled", (acode, bcode, r, k, q)
 
 
 def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
@@ -203,24 +199,23 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
     ``moves`` is a list of ("A"|"B", tuple_of_numbers).  Dispatches to the
     compiled loop when both strategies are kernel-codable.
     """
-    if HAVE_FAST and not force_python:
-        args = _kernel_args(config, alice_spec, bob_spec)
-        if args is not None:
-            _pycore.validate_matchup(config, alice_spec, bob_spec)
-            return _fast.play_game(config.n, config.a, config.b,
-                                       *args, game_seed & _MASK64)
-    return _pycore.play_game(config, alice_spec, bob_spec, game_seed)
+    check_config(config)
+    _, args = route(config, alice_spec, bob_spec, force_python=force_python)
+    if args is None:
+        return _pycore.play_game(config, alice_spec, bob_spec, game_seed)
+    _pycore.validate_matchup(config, alice_spec, bob_spec)
+    return _fast.play_game(config.n, config.a, config.b, *args, game_seed)
 
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int, *, force_python: bool = False) -> dict:
     """Outcome counts over seeded trials start..start+trials-1."""
-    if HAVE_FAST and not force_python:
-        args = _kernel_args(config, alice_spec, bob_spec)
-        if args is not None:
-            _pycore.validate_matchup(config, alice_spec, bob_spec)
-            return _fast.play_batch(config.n, config.a, config.b,
-                                        *args, master_seed & _MASK64,
-                                        start, trials)
-    return _pycore.play_batch(config, alice_spec, bob_spec,
-                              master_seed, start, trials)
+    check_config(config)
+    check_trials(start, trials)
+    _, args = route(config, alice_spec, bob_spec, force_python=force_python)
+    if args is None:
+        return _pycore.play_batch(config, alice_spec, bob_spec,
+                                  master_seed, start, trials)
+    _pycore.validate_matchup(config, alice_spec, bob_spec)
+    return _fast.play_batch(config.n, config.a, config.b, *args,
+                            master_seed, start, trials)

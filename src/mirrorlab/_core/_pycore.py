@@ -1,6 +1,6 @@
 """Pure-Python twin of the compiled core.
 
-Same observable behavior as ``_fastcore`` (bit-identical transcripts and
+Same observable behavior as the native kernel (bit-identical transcripts and
 sums), an order of magnitude or two slower.  The game loop here delegates to
 the real Strategy objects and the regular referee, so this module is also
 the reference the compiled loop is tested against.

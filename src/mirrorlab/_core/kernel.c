@@ -1,0 +1,663 @@
+/*
+ * Native kernel of mirrorlab: batched game simulation and prime-field
+ * kernels, in plain C with no Python API.  mirrorlab._core compiles it with
+ * the system cc and binds it with ctypes (_kernel.py).
+ *
+ * Bit-compatible with the pure-Python core (_pycore.py): same splitmix64
+ * streams, same draw order, same move sequences.  Any observable divergence
+ * between the two is a bug (see tests/test_core_equivalence.py).
+ *
+ * Every size the caller passes has been range-checked by the binding: n, a,
+ * b, r and k fit an int with room for n + 2, and q < 2^32 so q^2 < 2^64.
+ *
+ * Return codes: 0 success, ML_NOMEM when an allocation fails, and the
+ * positive ML_* codes for an inconsistent game state.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef uint64_t u64;
+
+enum {
+    ML_NOMEM = -1,
+    ML_INCONSISTENT = 1, /* rand-sqrt recovered the wrong number of roots */
+    ML_BAD_CODE = 2,     /* a strategy code the game loop does not know */
+    ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
+};
+
+/* strategy codes; mirrorlab._core.KERNEL_CODES holds the same numbers */
+enum {
+    CODE_MIRROR = 1,
+    CODE_ODD_MIRROR = 2,
+    CODE_TUPLE_MIRROR = 3,
+    CODE_SMALLEST = 4,
+    CODE_LARGEST = 5,
+    CODE_RANDOM = 6,
+    CODE_RAND_LOG = 7,
+    CODE_RAND_SQRT = 8,
+};
+
+/* ------------------------------------------------------------------------
+ * randomness (mirrors mirrorlab.rng exactly) */
+
+static inline u64 mix64(u64 z)
+{
+    z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCDULL;
+    z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53ULL;
+    return z ^ (z >> 33);
+}
+
+static inline u64 derive(u64 master, u64 index)
+{
+    return mix64(master ^ mix64(index ^ 0x9E3779B97F4A7C15ULL));
+}
+
+static inline u64 sm_next(u64 *state)
+{
+    u64 z = (*state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static inline u64 randbelow(u64 *state, u64 k)
+{
+    u64 mask, v;
+    if (k <= 1)
+        return 0;
+    mask = k - 1;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    do {
+        v = sm_next(state) & mask;
+    } while (v >= k);
+    return v;
+}
+
+u64 ml_derive(u64 master, u64 index)
+{
+    return derive(master, index);
+}
+
+/* ------------------------------------------------------------------------
+ * prime-field kernels */
+
+static u64 modpow(u64 base, u64 exp, u64 q)
+{
+    u64 out = 1;
+    base %= q;
+    while (exp) {
+        if (exp & 1)
+            out = out * base % q;
+        base = base * base % q;
+        exp >>= 1;
+    }
+    return out;
+}
+
+/* sums[i] += x^(i+1) mod q for i < k; needs x * (q - 1) < 2^64 */
+static inline void ingest(u64 *sums, int k, u64 x, u64 q)
+{
+    u64 acc = 1;
+    for (int i = 0; i < k; i++) {
+        acc = acc * x % q;
+        sums[i] = (sums[i] + acc) % q;
+    }
+}
+
+/* first k power sums of xs[0..len) modulo q, into sums[0..k) */
+void ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q, u64 *sums)
+{
+    for (int i = 0; i < k; i++)
+        sums[i] = 0;
+    for (int64_t t = 0; t < len; t++) {
+        int64_t x = xs[t];
+        if ((u64)x >= q) { /* also every negative x */
+            x %= (int64_t)q;
+            x += x < 0 ? (int64_t)q : 0;
+        }
+        ingest(sums, k, (u64)x, q);
+    }
+}
+
+/* first k power sums of 1..n modulo q */
+void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
+{
+    for (int i = 0; i < k; i++)
+        sums[i] = 0;
+    for (int v = 1; v <= n; v++)
+        ingest(sums, k, (u64)v, q);
+}
+
+/* power sums p[1..k] -> elementary symmetric e[1..k], e[0] = 1 */
+static void newton(const u64 *p, u64 *e, int k, u64 q)
+{
+    e[0] = 1;
+    for (int i = 1; i <= k; i++) {
+        u64 acc = 0;
+        for (int j = 1; j <= i; j++) {
+            u64 t = e[i - j] * p[j] % q;
+            acc = (j & 1) ? (acc + t) % q : (acc + q - t) % q;
+        }
+        e[i] = acc * modpow((u64)i, q - 2, q) % q;
+    }
+}
+
+/* Roots in 1..n of x^k - e1 x^(k-1) + e2 x^(k-2) - ... over GF(q), with
+ * e[1..k] reduced mod q.  Writes the first cap roots to out and returns how
+ * many there are. */
+static int root_scan(const u64 *e, int k, int n, u64 q, u64 *coef,
+                     int *out, int cap)
+{
+    int cnt = 0;
+    for (int j = 1; j <= k; j++)
+        coef[j] = (j & 1) ? (q - e[j]) % q : e[j];
+    for (int x = 1; x <= n; x++) {
+        u64 val = 1;
+        for (int j = 1; j <= k; j++)
+            val = (val * (u64)x + coef[j]) % q;
+        if (val == 0) {
+            if (cnt < cap)
+                out[cnt] = x;
+            cnt++;
+        }
+    }
+    return cnt;
+}
+
+/* e[0..k) holds e1..ek reduced mod q; returns the root count or ML_NOMEM */
+int ml_root_scan(const u64 *e, int k, int n, u64 q, int *out, int cap)
+{
+    u64 *buf = malloc(2 * ((size_t)k + 1) * sizeof(u64));
+    int cnt;
+    if (buf == NULL)
+        return ML_NOMEM;
+    for (int j = 0; j < k; j++)
+        buf[j + 1] = e[j];
+    cnt = root_scan(buf, k, n, q, buf + k + 1, out, cap);
+    free(buf);
+    return cnt;
+}
+
+/* ------------------------------------------------------------------------
+ * matching sampling (mirrors strategies.sample_matching); n even */
+
+static void build_matching(int n, u64 *state, int *perm, int *match)
+{
+    for (int i = 0; i < n; i++)
+        perm[i] = i + 1;
+    for (int i = n - 1; i > 0; i--) {
+        int j = (int)randbelow(state, (u64)(i + 1));
+        int tmp = perm[i];
+        perm[i] = perm[j];
+        perm[j] = tmp;
+    }
+    for (int t = 0; t < n; t += 2) {
+        match[perm[t]] = perm[t + 1];
+        match[perm[t + 1]] = perm[t];
+    }
+}
+
+/* partner table match[0..n] (entry 0 is 0) of the seeded uniform matching */
+int ml_matching(int n, u64 seed, int *match)
+{
+    int *perm = malloc(((size_t)n + 1) * sizeof(int));
+    if (perm == NULL)
+        return ML_NOMEM;
+    match[0] = 0;
+    build_matching(n, &seed, perm, match);
+    free(perm);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Fenwick tree over 1..n (random-unsaid's view of the fresh numbers) */
+
+static void fen_build_ones(int *t, int n)
+{
+    for (int i = 0; i <= n; i++)
+        t[i] = 0;
+    for (int i = 1; i <= n; i++) {
+        t[i] += 1;
+        if (i + (i & -i) <= n)
+            t[i + (i & -i)] += t[i];
+    }
+}
+
+static inline void fen_add(int *t, int n, int pos, int delta)
+{
+    for (; pos <= n; pos += pos & -pos)
+        t[pos] += delta;
+}
+
+/* position of the (idx+1)-th remaining number, ascending */
+static inline int fen_select(const int *t, int n, int step, int idx)
+{
+    int pos = 0, rem = idx + 1;
+    for (; step; step >>= 1) {
+        int npos = pos + step;
+        if (npos <= n && t[npos] < rem) {
+            pos = npos;
+            rem -= t[npos];
+        }
+    }
+    return pos + 1;
+}
+
+/* ------------------------------------------------------------------------
+ * the game loop */
+
+/* smallest number not yet used within this move (forced-repeat filler) */
+static int filler_small(const int *move, int j)
+{
+    for (int p = 1;; p++) {
+        int t = 0;
+        while (t < j && move[t] != p)
+            t++;
+        if (t == j)
+            return p;
+    }
+}
+
+static int filler_large(int n, const int *move, int j)
+{
+    for (int p = n;; p--) {
+        int t = 0;
+        while (t < j && move[t] != p)
+            t++;
+        if (t == j)
+            return p;
+    }
+}
+
+/* Reusable buffers for one matchup; each arena_run plays one seeded game. */
+typedef struct {
+    int n, a, b, acode, bcode, r, k;
+    u64 q;
+    unsigned char *said;
+    int *perm, *match, *fenA, *fenB;
+    int fen_step;
+    int *backups;
+    unsigned char *spent;
+    u64 *sums, *full, *pmiss, *ecoef, *coef;
+    int *missing, *movebuf;
+    int losing, error;
+    /* transcript: (player 0=A 1=B, length, numbers...) per move */
+    int *rec;
+    int64_t rec_cap, rec_len;
+} Arena;
+
+static void arena_free(Arena *A)
+{
+    free(A->said); free(A->perm); free(A->match);
+    free(A->fenA); free(A->fenB);
+    free(A->backups); free(A->spent);
+    free(A->sums); free(A->full); free(A->pmiss);
+    free(A->ecoef); free(A->coef);
+    free(A->missing); free(A->movebuf);
+}
+
+static int arena_init(Arena *A, int n, int a, int b, int acode, int bcode,
+                      int r, int k, u64 q)
+{
+    size_t nn = (size_t)n + 2, rr = (size_t)r + 1, kk = (size_t)k + 1;
+    int quota = a > b ? a : b;
+    *A = (Arena){.n = n, .a = a, .b = b, .acode = acode, .bcode = bcode,
+                 .r = r, .k = k, .q = q};
+    A->said = calloc(nn, 1);
+    A->perm = calloc(nn, sizeof(int));
+    A->match = calloc(nn, sizeof(int));
+    A->fenA = calloc(nn, sizeof(int));
+    A->fenB = calloc(nn, sizeof(int));
+    A->backups = calloc(rr, sizeof(int));
+    A->spent = calloc(rr, 1);
+    A->sums = calloc(kk, sizeof(u64));
+    A->full = calloc(kk, sizeof(u64));
+    A->pmiss = calloc(kk, sizeof(u64));
+    A->ecoef = calloc(kk, sizeof(u64));
+    A->coef = calloc(kk, sizeof(u64));
+    A->missing = calloc(kk, sizeof(int));
+    A->movebuf = calloc((size_t)quota + 1, sizeof(int));
+    if (!A->said || !A->perm || !A->match || !A->fenA || !A->fenB
+            || !A->backups || !A->spent || !A->sums || !A->full
+            || !A->pmiss || !A->ecoef || !A->coef || !A->missing
+            || !A->movebuf) {
+        arena_free(A);
+        return ML_NOMEM;
+    }
+    A->fen_step = 1;
+    while (A->fen_step <= n / 2)
+        A->fen_step *= 2;
+    if (acode == CODE_RAND_SQRT) /* power sums of the complete range, once */
+        ml_full_power_sums(n, k, q, A->full + 1);
+    return 0;
+}
+
+static inline int backup_index(const Arena *A, int v)
+{
+    int lo = 0, hi = A->r - 1;
+    while (lo <= hi) {
+        int mid = (lo + hi) >> 1;
+        if (A->backups[mid] == v)
+            return mid;
+        if (A->backups[mid] < v)
+            lo = mid + 1;
+        else
+            hi = mid - 1;
+    }
+    return -1;
+}
+
+/* One game: 0 both win, 1 Alice loses, 2 Bob loses; A->error on failure. */
+static int arena_run(Arena *A, u64 game_seed)
+{
+    const int n = A->n, acode = A->acode, bcode = A->bcode;
+    u64 st_o = derive(game_seed, 0);
+    u64 st_a = derive(game_seed, 1);
+    u64 st_b = derive(game_seed, 2);
+    unsigned char *said = A->said;
+    int *movebuf = A->movebuf;
+
+    int i, j, v = 0, cnt, idx, m;
+    int last_a = 0, last_b = 0, started_a = 0, xlog = 0;
+    int cur_small_a = 1, cur_small_b = 1;
+    int cur_large_a = n, cur_large_b = n;
+    int fcnt_a = n, fcnt_b = n;
+    int acount = 0, sqphase = 0, miss_head = 0, miss_len = 0;
+    int said_count = 0, turn = 0, outcome = -1;
+
+    for (i = 0; i <= n; i++)
+        said[i] = 0;
+    A->losing = 0;
+    A->error = 0;
+    A->rec_len = 0;
+
+    if (acode == CODE_RAND_LOG || acode == CODE_RAND_SQRT)
+        build_matching(n, &st_o, A->perm, A->match);
+    if (acode == CODE_RANDOM)
+        fen_build_ones(A->fenA, n);
+    if (bcode == CODE_RANDOM)
+        fen_build_ones(A->fenB, n);
+
+    if (acode == CODE_RAND_LOG) {
+        xlog = 1 + (int)randbelow(&st_a, (u64)n);
+    } else if (acode == CODE_RAND_SQRT) {
+        cnt = 0;
+        while (cnt < A->r) {
+            v = 1 + (int)randbelow(&st_a, (u64)n);
+            for (i = 0; i < cnt && A->backups[i] != v; i++)
+                ;
+            if (i == cnt)
+                A->backups[cnt++] = v;
+        }
+        for (i = 1; i < A->r; i++) { /* insertion sort ascending */
+            v = A->backups[i];
+            for (j = i - 1; j >= 0 && A->backups[j] > v; j--)
+                A->backups[j + 1] = A->backups[j];
+            A->backups[j + 1] = v;
+        }
+        for (i = 0; i < A->r; i++)
+            A->spent[i] = 0;
+        for (i = 0; i < A->k; i++)
+            A->sums[i] = 0;
+    }
+
+    while (outcome < 0) {
+        const int alice_moving = ++turn & 1;
+        const int code = alice_moving ? acode : bcode;
+        const int quota = alice_moving ? A->a : A->b;
+        int move_len;
+
+        /* ---- emit ---------------------------------------------------- */
+        switch (code) {
+        case CODE_MIRROR:
+            movebuf[0] = n + 1 - last_b;
+            break;
+        case CODE_ODD_MIRROR:
+            if (!started_a) {
+                started_a = 1;
+                movebuf[0] = n;
+            } else {
+                movebuf[0] = n - last_a;
+            }
+            break;
+        case CODE_TUPLE_MIRROR: {
+            int width = quota + 1;
+            int base = ((last_b - 1) / width) * width + 1;
+            j = 0;
+            for (v = base; v < base + width; v++)
+                if (v != last_b)
+                    movebuf[j++] = v;
+            break;
+        }
+        case CODE_SMALLEST: {
+            int *cur = alice_moving ? &cur_small_a : &cur_small_b;
+            for (j = 0; j < quota; j++) {
+                while (*cur <= n && said[*cur])
+                    (*cur)++;
+                movebuf[j] = *cur <= n ? (*cur)++ : filler_small(movebuf, j);
+            }
+            break;
+        }
+        case CODE_LARGEST: {
+            int *cur = alice_moving ? &cur_large_a : &cur_large_b;
+            for (j = 0; j < quota; j++) {
+                while (*cur >= 1 && said[*cur])
+                    (*cur)--;
+                movebuf[j] = *cur >= 1 ? (*cur)-- : filler_large(n, movebuf, j);
+            }
+            break;
+        }
+        case CODE_RANDOM: {
+            u64 *stream = alice_moving ? &st_a : &st_b;
+            int *fen = alice_moving ? A->fenA : A->fenB;
+            int *fcnt = alice_moving ? &fcnt_a : &fcnt_b;
+            for (j = 0; j < quota; j++) {
+                if (*fcnt > 0) {
+                    idx = (int)randbelow(stream, (u64)*fcnt);
+                    v = fen_select(fen, n, A->fen_step, idx);
+                    fen_add(fen, n, v, -1);
+                    (*fcnt)--;
+                } else {
+                    v = filler_small(movebuf, j);
+                }
+                movebuf[j] = v;
+            }
+            break;
+        }
+        case CODE_RAND_LOG:
+            if (!started_a) {
+                started_a = 1;
+                movebuf[0] = xlog;
+            } else {
+                movebuf[0] = A->match[last_a];
+            }
+            break;
+        case CODE_RAND_SQRT:
+            if (!started_a) {
+                started_a = 1;
+                idx = (int)randbelow(&st_a, (u64)A->r);
+                v = A->backups[idx];
+                A->spent[idx] = 1;
+                ingest(A->sums, A->k, (u64)v, A->q);
+                acount++;
+                movebuf[0] = v;
+                break;
+            }
+            if (sqphase == 0 && acount >= n - A->k) {
+                /* reconstruct the missing set from the power sums */
+                int kk = n - acount;
+                for (i = 1; i <= kk; i++)
+                    A->pmiss[i] = (A->full[i] + A->q - A->sums[i - 1]) % A->q;
+                newton(A->pmiss, A->ecoef, kk, A->q);
+                cnt = root_scan(A->ecoef, kk, n, A->q, A->coef, A->missing,
+                                kk);
+                if (cnt != kk) {
+                    A->error = ML_INCONSISTENT;
+                    return 0;
+                }
+                miss_head = 0;
+                miss_len = kk;
+                sqphase = 1;
+            }
+            if (sqphase == 1) {
+                v = A->missing[miss_head++];
+                miss_len--;
+                acount++;
+                movebuf[0] = v;
+                break;
+            }
+            m = A->match[last_a];
+            idx = backup_index(A, m);
+            if (idx < 0 || !A->spent[idx]) {
+                v = m;
+            } else {
+                for (cnt = 0, i = 0; i < A->r; i++)
+                    cnt += !A->spent[i];
+                if (cnt > 0) {
+                    idx = (int)randbelow(&st_a, (u64)cnt);
+                    for (i = 0; i < A->r; i++) {
+                        if (!A->spent[i]) {
+                            if (idx == 0) {
+                                v = A->backups[i];
+                                break;
+                            }
+                            idx--;
+                        }
+                    }
+                } else {
+                    v = 1 + (int)randbelow(&st_a, (u64)n);
+                }
+            }
+            idx = backup_index(A, v);
+            if (idx >= 0)
+                A->spent[idx] = 1;
+            ingest(A->sums, A->k, (u64)v, A->q);
+            acount++;
+            movebuf[0] = v;
+            break;
+        default:
+            A->error = ML_BAD_CODE;
+            return 0;
+        }
+
+        /* ---- referee ------------------------------------------------- */
+        move_len = quota;
+        for (j = 0; j < quota; j++) {
+            v = movebuf[j];
+            if (said[v]) {
+                outcome = alice_moving ? 1 : 2;
+                A->losing = v;
+                move_len = j + 1;
+                break;
+            }
+            said[v] = 1;
+            said_count++;
+        }
+        if (A->rec != NULL) {
+            if (A->rec_len + 2 + move_len > A->rec_cap) {
+                A->error = ML_RECORD_FULL;
+                return 0;
+            }
+            A->rec[A->rec_len++] = !alice_moving;
+            A->rec[A->rec_len++] = move_len;
+            for (j = 0; j < move_len; j++)
+                A->rec[A->rec_len++] = movebuf[j];
+        }
+        if (outcome >= 0)
+            break;
+        if (said_count == n) {
+            outcome = 0;
+            break;
+        }
+
+        /* ---- opponent observes --------------------------------------- */
+        if (alice_moving) {
+            if (bcode == CODE_MIRROR || bcode == CODE_TUPLE_MIRROR) {
+                last_b = movebuf[0];
+            } else if (bcode == CODE_RANDOM) {
+                for (j = 0; j < quota; j++)
+                    fen_add(A->fenB, n, movebuf[j], -1);
+                fcnt_b -= quota;
+            }
+        } else if (acode == CODE_ODD_MIRROR || acode == CODE_RAND_LOG) {
+            last_a = movebuf[0];
+        } else if (acode == CODE_RANDOM) {
+            for (j = 0; j < quota; j++)
+                fen_add(A->fenA, n, movebuf[j], -1);
+            fcnt_a -= quota;
+        } else if (acode == CODE_RAND_SQRT) {
+            v = movebuf[0];
+            last_a = v;
+            acount++;
+            if (sqphase == 0) {
+                ingest(A->sums, A->k, (u64)v, A->q);
+                idx = backup_index(A, v);
+                if (idx >= 0)
+                    A->spent[idx] = 1;
+            } else {
+                for (i = miss_head; i < miss_head + miss_len; i++) {
+                    if (A->missing[i] == v) {
+                        for (j = i; j < miss_head + miss_len - 1; j++)
+                            A->missing[j] = A->missing[j + 1];
+                        miss_len--;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    return outcome;
+}
+
+/* One recorded game.  rec receives the moves as (player, length,
+ * numbers...) records, at most rec_cap ints; 3(n+1) always suffices.
+ * info = {outcome, losing number or 0, ints written to rec}. */
+int ml_play_game(int n, int a, int b, int acode, int bcode, int r, int k,
+                 u64 q, u64 game_seed, int *rec, int64_t rec_cap,
+                 int64_t *info)
+{
+    Arena A;
+    int outcome, err;
+    if (arena_init(&A, n, a, b, acode, bcode, r, k, q) != 0)
+        return ML_NOMEM;
+    A.rec = rec;
+    A.rec_cap = rec_cap;
+    outcome = arena_run(&A, game_seed);
+    err = A.error;
+    info[0] = outcome;
+    info[1] = A.losing;
+    info[2] = A.rec_len;
+    arena_free(&A);
+    return err;
+}
+
+/* Outcome counts {both win, Alice loses, Bob loses} of the games seeded
+ * derive(master, start + i) for i < trials, into counts[0..3).  On a kernel
+ * error counts[3] is the trial index at fault. */
+int ml_play_batch(int n, int a, int b, int acode, int bcode, int r, int k,
+                  u64 q, u64 master, int64_t start, int64_t trials,
+                  int64_t *counts)
+{
+    Arena A;
+    counts[0] = counts[1] = counts[2] = counts[3] = 0;
+    if (arena_init(&A, n, a, b, acode, bcode, r, k, q) != 0)
+        return ML_NOMEM;
+    for (int64_t i = 0; i < trials; i++) {
+        int outcome = arena_run(&A, derive(master, (u64)start + (u64)i));
+        if (A.error) {
+            int err = A.error;
+            counts[3] = start + i;
+            arena_free(&A);
+            return err;
+        }
+        counts[outcome]++;
+    }
+    arena_free(&A);
+    return 0;
+}

@@ -59,10 +59,13 @@ def montecarlo(spec: ExperimentSpec,
     a win for both).  Uses the compiled game loop when both strategies are
     kernel-codable; per-game memory budgets are enforced on the Python
     referee paths and by the dedicated conformance suites, not inside the
-    batch fast path.
+    batch fast path.  ``backend`` in the report names the path this run
+    took: recorded runs and uncodable matchups say ``"python"``.
     """
     cfg = spec.config
+    _core.check_config(cfg)
     if transcript_sink is not None or "transcripts" in spec.collect:
+        backend = "python"
         counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0}
         for i in range(spec.trials):
             t = _run_recorded(cfg, spec.alice, spec.bob,
@@ -71,6 +74,7 @@ def montecarlo(spec: ExperimentSpec,
             if transcript_sink is not None:
                 transcript_sink(t)
     else:
+        backend, _ = _core.route(cfg, spec.alice, spec.bob)
         counts = _core.play_batch(cfg, spec.alice, spec.bob,
                                   spec.master_seed, 0, spec.trials)
 
@@ -84,7 +88,7 @@ def montecarlo(spec: ExperimentSpec,
         "bob": spec.bob,
         "trials": spec.trials,
         "master_seed": spec.master_seed,
-        "backend": _core.BACKEND,
+        "backend": backend,
         "alice_wins": wins,
         "win_rate": wins / spec.trials,
         "ci95": [lo, hi],

@@ -2,10 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import pytest
+
+from mirrorlab import _core
 from mirrorlab.cli import cli_main
 from mirrorlab.engine import Transcript, replay
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -13,6 +22,18 @@ def run_cli(argv):
     with redirect_stdout(buf):
         rc = cli_main(argv)
     return rc, buf.getvalue()
+
+
+def run_cli_process(argv, stdin="", pure_python=False):
+    """The CLI in a child process, on the default or the pure-Python core."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "MIRRORLAB_PURE_PYTHON"}
+    env["PYTHONPATH"] = str(SRC)
+    if pure_python:
+        env["MIRRORLAB_PURE_PYTHON"] = "1"
+    return subprocess.run([sys.executable, "-m", "mirrorlab.cli", *argv],
+                          input=stdin, capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 class TestPlay:
@@ -60,6 +81,18 @@ class TestMonteCarlo:
         lines = p.read_text().splitlines()
         assert len(lines) == 4
         assert all(replay(Transcript.from_json(s)) for s in lines)
+
+    def test_backend_is_the_path_taken(self, tmp_path):
+        def backend(alice, *extra):
+            rc, out = run_cli(["montecarlo", "--n", "10", "--alice", alice,
+                               "--bob", "mirror", "--trials", "3", *extra])
+            assert rc == 0
+            return json.loads(out)["backend"]
+
+        assert backend("naive") == _core.BACKEND  # kernel-codable
+        assert backend("prefer-T:2,4") == "python"  # not codable
+        assert backend("naive", "--transcripts",
+                       str(tmp_path / "t.jsonl")) == "python"  # recorded
 
 
 class TestOccurring:
@@ -156,6 +189,28 @@ class TestMatchingTest:
         d = json.loads(out)
         assert d["involution_ok"] and d["uniform_ok"]
         assert d["possible_matchings"] == 3
+
+
+@pytest.mark.parametrize("pure_python", [False, True],
+                         ids=["default-core", "pure-python"])
+class TestKernelLimits:
+    """Sizes past the kernel's int fail as bad input on both backends."""
+
+    def check_rejected(self, proc):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: n=3000000000")
+
+    def test_montecarlo(self, pure_python):
+        self.check_rejected(run_cli_process(
+            ["montecarlo", "--n", "3000000000", "--alice", "random-unsaid",
+             "--bob", "mirror", "--trials", "1"], pure_python=pure_python))
+
+    def test_recover_missing(self, pure_python):
+        self.check_rejected(run_cli_process(
+            ["recover-missing", "--n", "3000000000", "--k", "1",
+             "--stream", "-"], stdin="1\n2\n", pure_python=pure_python))
 
 
 class TestUsage:

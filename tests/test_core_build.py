@@ -1,4 +1,4 @@
-"""Import-time build of the compiled core from the committed C source.
+"""Import-time build of the native kernel from the committed C source.
 
 Each case imports a fresh copy of the package in a child process with its
 own cache directory, so nothing here depends on (or writes to) the user's
@@ -18,13 +18,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mirrorlab"
 
 PROBE = ("import json, mirrorlab._core as c; "
          "print(json.dumps([c.BACKEND, c.FALLBACK_REASON, "
-         "getattr(c._fast, '__file__', None), "
-         "getattr(c._fast, '__name__', None)]))")
+         "getattr(c._fast, 'path', None)]))")
 
 
 @pytest.fixture
 def package_copy(tmp_path):
-    """A copy of the package with no prebuilt extension next to it."""
+    """A copy of the package with no prebuilt library next to it."""
     root = tmp_path / "src"
     shutil.copytree(PACKAGE, root / "mirrorlab",
                     ignore=shutil.ignore_patterns("*.so", "__pycache__"))
@@ -45,14 +44,14 @@ def probe(src_root, cache_home, **env_overrides):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_cold_cache_compiles_then_reuses(package_copy, tmp_path):
     cache = tmp_path / "cache"
-    backend, reason, path, name = probe(package_copy, cache)
+    backend, reason, path = probe(package_copy, cache)
     assert (backend, reason) == ("compiled", None)
-    assert name == "mirrorlab._core._fastcore"
+    assert Path(path).name.startswith("kernel-")
     built = sorted((cache / "mirrorlab").iterdir())
-    assert [Path(path)] == built  # one module, no temporary file left over
+    assert [Path(path)] == built  # one library, no temporary file left over
     mtime = built[0].stat().st_mtime_ns
 
-    assert probe(package_copy, cache)[:3] == [backend, reason, path]
+    assert probe(package_copy, cache) == [backend, reason, path]
     assert sorted((cache / "mirrorlab").iterdir()) == built
     assert built[0].stat().st_mtime_ns == mtime  # loaded, not rebuilt
 
@@ -60,15 +59,15 @@ def test_cold_cache_compiles_then_reuses(package_copy, tmp_path):
 def test_no_compiler_falls_back(package_copy, tmp_path):
     empty_bin = tmp_path / "bin"
     empty_bin.mkdir()
-    backend, reason, path, _ = probe(package_copy, tmp_path / "cache",
-                                     PATH=str(empty_bin))
+    backend, reason, path = probe(package_copy, tmp_path / "cache",
+                                  PATH=str(empty_bin))
     assert backend == "python" and path is None
     assert reason and "compiler" in reason
 
 
 def test_forced_pure_python_says_so(package_copy, tmp_path):
-    backend, reason, _, _ = probe(package_copy, tmp_path / "cache",
-                                  MIRRORLAB_PURE_PYTHON="1")
+    backend, reason, _ = probe(package_copy, tmp_path / "cache",
+                               MIRRORLAB_PURE_PYTHON="1")
     assert backend == "python"
     assert "MIRRORLAB_PURE_PYTHON" in reason
 
@@ -77,18 +76,28 @@ def test_forced_pure_python_says_so(package_copy, tmp_path):
 def test_unwritable_cache_falls_back(package_copy, tmp_path):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("")
-    backend, reason, _, _ = probe(package_copy, not_a_dir)
+    backend, reason, _ = probe(package_copy, not_a_dir)
     assert backend == "python"
     assert reason.startswith("cache not writable")
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_failed_compile_falls_back_with_first_error(package_copy, tmp_path):
-    source = package_copy / "mirrorlab" / "_core" / "_fastcore.c"
+    source = package_copy / "mirrorlab" / "_core" / "kernel.c"
     source.write_text("#error deliberately broken\n" + source.read_text())
     cache = tmp_path / "cache"
-    backend, reason, _, _ = probe(package_copy, cache)
+    backend, reason, _ = probe(package_copy, cache)
     assert backend == "python"
     assert reason.startswith("compile failed:")
     assert "deliberately broken" in reason
     assert list((cache / "mirrorlab").iterdir()) == []  # temp file removed
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_unloadable_library_falls_back(package_copy, tmp_path):
+    cache = tmp_path / "cache"
+    _, _, path = probe(package_copy, cache)
+    Path(path).write_bytes(b"not a shared library")
+    backend, reason, _ = probe(package_copy, cache)
+    assert backend == "python"
+    assert reason.startswith("compiled kernel failed to load:")

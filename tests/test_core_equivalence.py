@@ -5,6 +5,8 @@ Monte Carlo batches through the compiled loop.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from mirrorlab import _core
 from mirrorlab._core import _pycore
@@ -112,3 +114,33 @@ def test_recorded_games_agree_at_scale():
         slow = _core.play_game(cfg, "rand-sqrt", "random-unsaid", seed,
                                force_python=True)
         assert fast == slow, seed
+
+
+# Kernel-codable strategies by role (see _core.route).
+CODABLE_ALICE = ("naive", "odd-mirror", "smallest-unsaid", "largest-unsaid",
+                 "random-unsaid", "rand-log", "rand-sqrt")
+CODABLE_BOB = ("mirror", "tuple-mirror", "naive", "smallest-unsaid",
+               "largest-unsaid", "random-unsaid")
+QUOTA = st.one_of(st.just(1), st.integers(1, 4))  # (1,1) games half the time
+SEED = st.integers(-2**63, 2**64 - 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(n=st.integers(1, 64), a=QUOTA, b=QUOTA,
+       alice=st.sampled_from(CODABLE_ALICE), bob=st.sampled_from(CODABLE_BOB),
+       seed=SEED, start=st.integers(-2**63, 2**63 - 4),
+       trials=st.integers(1, 4))
+def test_random_matchups_agree(n, a, b, alice, bob, seed, start, trials):
+    try:
+        cfg = GameConfig(n, a, b)
+        _pycore.validate_matchup(cfg, alice, bob)
+    except ValueError:
+        reject()
+    assert _core.route(cfg, alice, bob)[0] == "compiled"
+    assert (_core.play_game(cfg, alice, bob, seed)
+            == _core.play_game(cfg, alice, bob, seed, force_python=True))
+    assert (_core.play_batch(cfg, alice, bob, seed, start, trials)
+            == _core.play_batch(cfg, alice, bob, seed, start, trials,
+                                force_python=True))

@@ -1,0 +1,66 @@
+"""Inputs past the native kernel's integer limits fail with ValueError, the
+same way on both backends, instead of wrapping inside ctypes."""
+
+import pytest
+
+from mirrorlab import _core
+from mirrorlab._core import _pycore
+from mirrorlab.engine import GameConfig
+
+TOO_BIG = 3_000_000_000  # wraps to a negative C int
+
+
+@pytest.mark.parametrize("force_python", [False, True],
+                         ids=["default-core", "pure-python"])
+def test_game_sizes(force_python):
+    cfg = GameConfig(TOO_BIG)
+    with pytest.raises(ValueError, match="n=3000000000"):
+        _core.play_batch(cfg, "random-unsaid", "mirror", 0, 0, 1,
+                         force_python=force_python)
+    with pytest.raises(ValueError, match="n=3000000000"):
+        _core.play_game(cfg, "random-unsaid", "mirror", 0,
+                        force_python=force_python)
+
+
+@pytest.mark.parametrize("force_python", [False, True],
+                         ids=["default-core", "pure-python"])
+def test_trial_indices(force_python):
+    cfg = GameConfig(10)
+    last = 2**63 - 1
+    with pytest.raises(ValueError, match="64-bit"):
+        _core.play_batch(cfg, "naive", "mirror", 0, last, 2,
+                         force_python=force_python)
+    with pytest.raises(ValueError, match="64-bit"):
+        _core.play_batch(cfg, "naive", "mirror", 0, -2**63 - 1, 1,
+                         force_python=force_python)
+    counts = _core.play_batch(cfg, "random-unsaid", "largest-unsaid", 5,
+                              last - 1, 2, force_python=force_python)
+    assert counts == _core.play_batch(cfg, "random-unsaid", "largest-unsaid",
+                                      5, last - 1, 2, force_python=True)
+
+
+def test_field_sizes():
+    with pytest.raises(ValueError, match="modulus"):
+        _core.power_sums([1, 2], 2, 2**32)
+    with pytest.raises(ValueError, match="modulus"):
+        _core.power_sums([1, 2], 2, 0)
+    with pytest.raises(ValueError, match="n=3000000000"):
+        _core.full_power_sums(TOO_BIG, 1, 7)
+    with pytest.raises(ValueError, match="n=3000000000"):
+        _core.poly_root_scan([1], TOO_BIG, 7)
+    with pytest.raises(ValueError, match="even n"):
+        _core.matching_from_seed(7, 0)
+
+
+@pytest.mark.skipif(not _core.HAVE_FAST,
+                    reason=f"no compiled core: {_core.FALLBACK_REASON}")
+def test_binding_checks_on_its_own():
+    fast = _core._fast
+    with pytest.raises(ValueError):
+        fast.play_batch(TOO_BIG, 1, 1, 6, 1, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        fast.full_power_sums(TOO_BIG, 1, 7)
+    with pytest.raises(ValueError):
+        fast.power_sums([2**64], 1, 7)
+    xs = [-3, 10, 2**62]
+    assert fast.power_sums(xs, 3, 7) == _pycore.power_sums(xs, 3, 7)
