@@ -21,6 +21,7 @@ before anything of size n is allocated.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import shutil
@@ -167,6 +168,16 @@ def matching_from_seed(n: int, seed: int) -> list[int]:
     return _pycore.matching_from_seed(n, seed)
 
 
+@functools.lru_cache(maxsize=256)
+def _validate(config, alice_spec: str, bob_spec: str) -> None:
+    """``_pycore.validate_matchup``, once per matchup.
+
+    Only successes are cached (``lru_cache`` stores no exception), so a bad
+    matchup raises on every call.
+    """
+    _pycore.validate_matchup(config, alice_spec, bob_spec)
+
+
 def route(config, alice_spec: str, bob_spec: str, *,
           force_python: bool = False):
     """("compiled", kernel arguments) when the kernel plays this matchup,
@@ -203,7 +214,7 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
     _, args = route(config, alice_spec, bob_spec, force_python=force_python)
     if args is None:
         return _pycore.play_game(config, alice_spec, bob_spec, game_seed)
-    _pycore.validate_matchup(config, alice_spec, bob_spec)
+    _validate(config, alice_spec, bob_spec)
     return _fast.play_game(config.n, config.a, config.b, *args, game_seed)
 
 
@@ -216,6 +227,6 @@ def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
     if args is None:
         return _pycore.play_batch(config, alice_spec, bob_spec,
                                   master_seed, start, trials)
-    _pycore.validate_matchup(config, alice_spec, bob_spec)
+    _validate(config, alice_spec, bob_spec)
     return _fast.play_batch(config.n, config.a, config.b, *args,
                             master_seed, start, trials)

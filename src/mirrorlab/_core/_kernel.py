@@ -82,7 +82,7 @@ class Kernel:
         lib = ctypes.CDLL(self.path)
         i, i64, u64, p = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
                           ctypes.c_void_p)
-        game = [i, i, i, i, i, i, i, u64]  # n, a, b, acode, bcode, r, k, q
+        game = [i, i, i, i, i, i, i]  # n, a, b, acode, bcode, r, k
         for name, restype, argtypes in (
                 ("ml_derive", u64, [u64, u64]),
                 ("ml_matching", i, [i, u64, p]),
@@ -147,16 +147,21 @@ class Kernel:
             cap = cnt
 
     def play_game(self, n, a, b, acode, bcode, r, k, q, game_seed):
-        """One recorded game: (outcome name, losing number or 0, moves)."""
+        """One recorded game: (outcome name, losing number or 0, moves).
+
+        ``r`` and ``k`` are rand-sqrt's backup count and endgame threshold.
+        Its sketch modulus ``q`` is range-checked but not passed on: the
+        kernel reads the endgame off the numbers said (see ``kernel.c``).
+        """
         _check_game(n, a, b, r, k, q)
         cap = 3 * (n + 1)  # at most n + 1 moves, each of at least one number
         rec = _zeros("i", cap)
         info = _zeros("q", 3)
-        code = self._play_game(n, a, b, acode, bcode, r, k, q,
+        code = self._play_game(n, a, b, acode, bcode, r, k,
                                game_seed & _MASK64, _addr(rec), cap,
                                _addr(info))
         if code:
-            _raise(code, "(inconsistent recovery?)")
+            _raise(code, "in a recorded game")
         outcome, losing, used = info
         flat = rec[:used].tolist()
         moves = []
@@ -169,10 +174,11 @@ class Kernel:
 
     def play_batch(self, n, a, b, acode, bcode, r, k, q, master_seed, start,
                    trials) -> dict:
+        """Outcome counts of the seeded trials; arguments as ``play_game``."""
         _check_game(n, a, b, r, k, q)
         check_trials(start, trials)
         counts = _zeros("q", 4)
-        code = self._play_batch(n, a, b, acode, bcode, r, k, q,
+        code = self._play_batch(n, a, b, acode, bcode, r, k,
                                 master_seed & _MASK64, start, max(trials, 0),
                                 _addr(counts))
         if code:

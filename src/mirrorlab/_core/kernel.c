@@ -7,11 +7,19 @@
  * streams, same draw order, same move sequences.  Any observable divergence
  * between the two is a bug (see tests/test_core_equivalence.py).
  *
+ * rand-sqrt (CODE_RAND_SQRT) plays the moves of strategies.RandSqrtAlice
+ * without its power-sum sketch.  That player rebuilds the unsaid numbers
+ * from the sketch once at most k are left and says them smallest first.  A
+ * repeat ends the game, so every number said before that point is distinct
+ * and the rebuilt set is exactly the numbers not yet in said[]; the kernel
+ * reads its endgame moves off said[] instead.  The prime-field kernels below
+ * serve the stream-recovery functions only.
+ *
  * Every size the caller passes has been range-checked by the binding: n, a,
  * b, r and k fit an int with room for n + 2, and q < 2^32 so q^2 < 2^64.
  *
  * Return codes: 0 success, ML_NOMEM when an allocation fails, and the
- * positive ML_* codes for an inconsistent game state.
+ * positive ML_* codes for a bad request.
  */
 
 #include <stdint.h>
@@ -21,7 +29,6 @@ typedef uint64_t u64;
 
 enum {
     ML_NOMEM = -1,
-    ML_INCONSISTENT = 1, /* rand-sqrt recovered the wrong number of roots */
     ML_BAD_CODE = 2,     /* a strategy code the game loop does not know */
     ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
 };
@@ -87,19 +94,6 @@ u64 ml_derive(u64 master, u64 index)
 /* ------------------------------------------------------------------------
  * prime-field kernels */
 
-static u64 modpow(u64 base, u64 exp, u64 q)
-{
-    u64 out = 1;
-    base %= q;
-    while (exp) {
-        if (exp & 1)
-            out = out * base % q;
-        base = base * base % q;
-        exp >>= 1;
-    }
-    return out;
-}
-
 /* sums[i] += x^(i+1) mod q for i < k; needs x * (q - 1) < 2^64 */
 static inline void ingest(u64 *sums, int k, u64 x, u64 q)
 {
@@ -132,20 +126,6 @@ void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
         sums[i] = 0;
     for (int v = 1; v <= n; v++)
         ingest(sums, k, (u64)v, q);
-}
-
-/* power sums p[1..k] -> elementary symmetric e[1..k], e[0] = 1 */
-static void newton(const u64 *p, u64 *e, int k, u64 q)
-{
-    e[0] = 1;
-    for (int i = 1; i <= k; i++) {
-        u64 acc = 0;
-        for (int j = 1; j <= i; j++) {
-            u64 t = e[i - j] * p[j] % q;
-            acc = (j & 1) ? (acc + t) % q : (acc + q - t) % q;
-        }
-        e[i] = acc * modpow((u64)i, q - 2, q) % q;
-    }
 }
 
 /* Roots in 1..n of x^k - e1 x^(k-1) + e2 x^(k-2) - ... over GF(q), with
@@ -278,14 +258,12 @@ static int filler_large(int n, const int *move, int j)
 /* Reusable buffers for one matchup; each arena_run plays one seeded game. */
 typedef struct {
     int n, a, b, acode, bcode, r, k;
-    u64 q;
     unsigned char *said;
     int *perm, *match, *fenA, *fenB;
     int fen_step;
     int *backups;
     unsigned char *spent;
-    u64 *sums, *full, *pmiss, *ecoef, *coef;
-    int *missing, *movebuf;
+    int *movebuf;
     int losing, error;
     /* transcript: (player 0=A 1=B, length, numbers...) per move */
     int *rec;
@@ -297,18 +275,16 @@ static void arena_free(Arena *A)
     free(A->said); free(A->perm); free(A->match);
     free(A->fenA); free(A->fenB);
     free(A->backups); free(A->spent);
-    free(A->sums); free(A->full); free(A->pmiss);
-    free(A->ecoef); free(A->coef);
-    free(A->missing); free(A->movebuf);
+    free(A->movebuf);
 }
 
 static int arena_init(Arena *A, int n, int a, int b, int acode, int bcode,
-                      int r, int k, u64 q)
+                      int r, int k)
 {
-    size_t nn = (size_t)n + 2, rr = (size_t)r + 1, kk = (size_t)k + 1;
+    size_t nn = (size_t)n + 2, rr = (size_t)r + 1;
     int quota = a > b ? a : b;
     *A = (Arena){.n = n, .a = a, .b = b, .acode = acode, .bcode = bcode,
-                 .r = r, .k = k, .q = q};
+                 .r = r, .k = k};
     A->said = calloc(nn, 1);
     A->perm = calloc(nn, sizeof(int));
     A->match = calloc(nn, sizeof(int));
@@ -316,25 +292,15 @@ static int arena_init(Arena *A, int n, int a, int b, int acode, int bcode,
     A->fenB = calloc(nn, sizeof(int));
     A->backups = calloc(rr, sizeof(int));
     A->spent = calloc(rr, 1);
-    A->sums = calloc(kk, sizeof(u64));
-    A->full = calloc(kk, sizeof(u64));
-    A->pmiss = calloc(kk, sizeof(u64));
-    A->ecoef = calloc(kk, sizeof(u64));
-    A->coef = calloc(kk, sizeof(u64));
-    A->missing = calloc(kk, sizeof(int));
     A->movebuf = calloc((size_t)quota + 1, sizeof(int));
     if (!A->said || !A->perm || !A->match || !A->fenA || !A->fenB
-            || !A->backups || !A->spent || !A->sums || !A->full
-            || !A->pmiss || !A->ecoef || !A->coef || !A->missing
-            || !A->movebuf) {
+            || !A->backups || !A->spent || !A->movebuf) {
         arena_free(A);
         return ML_NOMEM;
     }
     A->fen_step = 1;
     while (A->fen_step <= n / 2)
         A->fen_step *= 2;
-    if (acode == CODE_RAND_SQRT) /* power sums of the complete range, once */
-        ml_full_power_sums(n, k, q, A->full + 1);
     return 0;
 }
 
@@ -353,6 +319,14 @@ static inline int backup_index(const Arena *A, int v)
     return -1;
 }
 
+/* a rand-sqrt backup counts as spent once either player says it */
+static inline void mark_spent(Arena *A, int v)
+{
+    int idx = backup_index(A, v);
+    if (idx >= 0)
+        A->spent[idx] = 1;
+}
+
 /* One game: 0 both win, 1 Alice loses, 2 Bob loses; A->error on failure. */
 static int arena_run(Arena *A, u64 game_seed)
 {
@@ -368,7 +342,6 @@ static int arena_run(Arena *A, u64 game_seed)
     int cur_small_a = 1, cur_small_b = 1;
     int cur_large_a = n, cur_large_b = n;
     int fcnt_a = n, fcnt_b = n;
-    int acount = 0, sqphase = 0, miss_head = 0, miss_len = 0;
     int said_count = 0, turn = 0, outcome = -1;
 
     for (i = 0; i <= n; i++)
@@ -403,8 +376,6 @@ static int arena_run(Arena *A, u64 game_seed)
         }
         for (i = 0; i < A->r; i++)
             A->spent[i] = 0;
-        for (i = 0; i < A->k; i++)
-            A->sums[i] = 0;
     }
 
     while (outcome < 0) {
@@ -479,37 +450,22 @@ static int arena_run(Arena *A, u64 game_seed)
             }
             break;
         case CODE_RAND_SQRT:
+            /* a = b = 1, so said_count is the number of moves so far */
             if (!started_a) {
                 started_a = 1;
                 idx = (int)randbelow(&st_a, (u64)A->r);
-                v = A->backups[idx];
                 A->spent[idx] = 1;
-                ingest(A->sums, A->k, (u64)v, A->q);
-                acount++;
-                movebuf[0] = v;
+                movebuf[0] = A->backups[idx];
                 break;
             }
-            if (sqphase == 0 && acount >= n - A->k) {
-                /* reconstruct the missing set from the power sums */
-                int kk = n - acount;
-                for (i = 1; i <= kk; i++)
-                    A->pmiss[i] = (A->full[i] + A->q - A->sums[i - 1]) % A->q;
-                newton(A->pmiss, A->ecoef, kk, A->q);
-                cnt = root_scan(A->ecoef, kk, n, A->q, A->coef, A->missing,
-                                kk);
-                if (cnt != kk) {
-                    A->error = ML_INCONSISTENT;
-                    return 0;
-                }
-                miss_head = 0;
-                miss_len = kk;
-                sqphase = 1;
-            }
-            if (sqphase == 1) {
-                v = A->missing[miss_head++];
-                miss_len--;
-                acount++;
-                movebuf[0] = v;
+            if (said_count >= n - A->k) {
+                /* Endgame: RandSqrtAlice rebuilds the unsaid numbers from
+                 * her power sums and says them smallest first.  No number
+                 * has repeated yet, so that set is exact and is the one
+                 * said[] holds; every later move keeps it so. */
+                while (said[cur_small_a])
+                    cur_small_a++;
+                movebuf[0] = cur_small_a;
                 break;
             }
             m = A->match[last_a];
@@ -534,11 +490,7 @@ static int arena_run(Arena *A, u64 game_seed)
                     v = 1 + (int)randbelow(&st_a, (u64)n);
                 }
             }
-            idx = backup_index(A, v);
-            if (idx >= 0)
-                A->spent[idx] = 1;
-            ingest(A->sums, A->k, (u64)v, A->q);
-            acount++;
+            mark_spent(A, v);
             movebuf[0] = v;
             break;
         default:
@@ -592,24 +544,8 @@ static int arena_run(Arena *A, u64 game_seed)
                 fen_add(A->fenA, n, movebuf[j], -1);
             fcnt_a -= quota;
         } else if (acode == CODE_RAND_SQRT) {
-            v = movebuf[0];
-            last_a = v;
-            acount++;
-            if (sqphase == 0) {
-                ingest(A->sums, A->k, (u64)v, A->q);
-                idx = backup_index(A, v);
-                if (idx >= 0)
-                    A->spent[idx] = 1;
-            } else {
-                for (i = miss_head; i < miss_head + miss_len; i++) {
-                    if (A->missing[i] == v) {
-                        for (j = i; j < miss_head + miss_len - 1; j++)
-                            A->missing[j] = A->missing[j + 1];
-                        miss_len--;
-                        break;
-                    }
-                }
-            }
+            last_a = movebuf[0];
+            mark_spent(A, last_a);
         }
     }
     return outcome;
@@ -619,12 +555,11 @@ static int arena_run(Arena *A, u64 game_seed)
  * numbers...) records, at most rec_cap ints; 3(n+1) always suffices.
  * info = {outcome, losing number or 0, ints written to rec}. */
 int ml_play_game(int n, int a, int b, int acode, int bcode, int r, int k,
-                 u64 q, u64 game_seed, int *rec, int64_t rec_cap,
-                 int64_t *info)
+                 u64 game_seed, int *rec, int64_t rec_cap, int64_t *info)
 {
     Arena A;
     int outcome, err;
-    if (arena_init(&A, n, a, b, acode, bcode, r, k, q) != 0)
+    if (arena_init(&A, n, a, b, acode, bcode, r, k) != 0)
         return ML_NOMEM;
     A.rec = rec;
     A.rec_cap = rec_cap;
@@ -641,12 +576,11 @@ int ml_play_game(int n, int a, int b, int acode, int bcode, int r, int k,
  * derive(master, start + i) for i < trials, into counts[0..3).  On a kernel
  * error counts[3] is the trial index at fault. */
 int ml_play_batch(int n, int a, int b, int acode, int bcode, int r, int k,
-                  u64 q, u64 master, int64_t start, int64_t trials,
-                  int64_t *counts)
+                  u64 master, int64_t start, int64_t trials, int64_t *counts)
 {
     Arena A;
     counts[0] = counts[1] = counts[2] = counts[3] = 0;
-    if (arena_init(&A, n, a, b, acode, bcode, r, k, q) != 0)
+    if (arena_init(&A, n, a, b, acode, bcode, r, k) != 0)
         return ML_NOMEM;
     for (int64_t i = 0; i < trials; i++) {
         int outcome = arena_run(&A, derive(master, (u64)start + (u64)i));

@@ -63,14 +63,18 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def _beta_ppf(p: float, a: float, b: float) -> float:
-    """Inverse of I_x(a,b) by bisection; monotone, so this is robust."""
+    """Inverse of I_x(a,b) by bisection; monotone, so this is robust.
+
+    Stops at the first step that leaves (lo, hi) unchanged: every later step
+    would repeat it, so the result equals that of all 200 steps.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if betainc_reg(a, b, mid) < p:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if betainc_reg(a, b, mid) < p else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

@@ -478,6 +478,10 @@ class RandSqrtAlice(Strategy):
     flags, last number heard, said counter, k field elements.  Endgame:
     the sketch is replaced by the remaining-missing list.  Both fit the
     declared O(sqrt(n) log^2 n) budget.
+
+    This class is the reference for the native kernel's rand-sqrt, which
+    reads the endgame off its table of said numbers in place of the sketch;
+    tests/test_core_equivalence.py checks the two move for move.
     """
 
     randomized = True

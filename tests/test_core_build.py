@@ -101,3 +101,15 @@ def test_unloadable_library_falls_back(package_copy, tmp_path):
     backend, reason, _ = probe(package_copy, cache)
     assert backend == "python"
     assert reason.startswith("compiled kernel failed to load:")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_has_no_warnings(tmp_path):
+    # The import-time build enables no warnings; this catches dead code left
+    # in the kernel.  It compiles to an object: -fsyntax-only would miss
+    # unused static functions.
+    source = PACKAGE / "_core" / "kernel.c"
+    out = subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-Werror",
+                          "-c", str(source), "-o", str(tmp_path / "kernel.o")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mirrorlab import _core
 from mirrorlab._core import _pycore
-from mirrorlab.engine import GameConfig
+from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.rng import derive_seed
 from mirrorlab.streamrec import select_prime
 
@@ -114,6 +114,62 @@ def test_recorded_games_agree_at_scale():
         slow = _core.play_game(cfg, "rand-sqrt", "random-unsaid", seed,
                                force_python=True)
         assert fast == slow, seed
+
+
+# rand-sqrt at n=400 (r=20 backups, k=173 sums) against each bitmap
+# adversary: a game that reaches the endgame, and one in which the player
+# runs out of backups.  The give-up seeds are the first game seeds in
+# 0..10^6 with a give-up; they are rare because the player loses only with
+# probability O(1/n).
+SQRT_N400 = [
+    # bob, (seed, entered_endgame, gave_up) per game
+    ("smallest-unsaid", ((0, True, False), (857202, False, True))),
+    ("largest-unsaid", ((0, True, False), (568286, False, True))),
+    ("random-unsaid", ((0, True, False), (470511, True, True))),
+]
+
+
+@pytest.mark.parametrize("bob,games", SQRT_N400,
+                         ids=[bob for bob, _ in SQRT_N400])
+def test_rand_sqrt_endgame_and_give_up_at_n400(bob, games):
+    cfg = GameConfig(400)
+    for seed, entered_endgame, gave_up in games:
+        alice, opponent = _pycore._build(cfg, "rand-sqrt", bob, seed)
+        run_game(alice, opponent, cfg, seed, check_budgets=False,
+                 record=False)
+        assert (alice.entered_endgame, alice.gave_up) == (
+            entered_endgame, gave_up), seed
+        assert (_core.play_game(cfg, "rand-sqrt", bob, seed)
+                == _core.play_game(cfg, "rand-sqrt", bob, seed,
+                                   force_python=True)), seed
+    assert (_core.play_batch(cfg, "rand-sqrt", bob, 400, 0, 20)
+            == _core.play_batch(cfg, "rand-sqrt", bob, 400, 0, 20,
+                                force_python=True))
+
+
+def test_matchup_validated_once_bad_one_every_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        validate(*args)
+
+    validate = _pycore.validate_matchup
+    monkeypatch.setattr(_pycore, "validate_matchup", counting)
+    _core._validate.cache_clear()
+    good = GameConfig(40)
+    for _ in range(3):
+        _core.play_batch(good, "rand-sqrt", "smallest-unsaid", 1, 0, 2)
+        _core.play_game(good, "rand-sqrt", "smallest-unsaid", 1)
+    assert len(calls) == 1
+    bad = GameConfig(10)  # rand-sqrt needs n >= 16; route still says compiled
+    assert _core.route(bad, "rand-sqrt", "smallest-unsaid")[0] == "compiled"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n >= 16"):
+            _core.play_batch(bad, "rand-sqrt", "smallest-unsaid", 1, 0, 2)
+        with pytest.raises(ValueError, match="n >= 16"):
+            _core.play_game(bad, "rand-sqrt", "smallest-unsaid", 1)
+    assert len(calls) == 5
 
 
 # Kernel-codable strategies by role (see _core.route).

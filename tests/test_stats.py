@@ -8,8 +8,20 @@ import math
 
 import pytest
 
-from mirrorlab.stats import (betainc_reg, binomial_ci, chi2_sf, chi2_stat,
-                             clopper_pearson, normal_interval)
+from mirrorlab.stats import (_beta_ppf, betainc_reg, binomial_ci, chi2_sf,
+                             chi2_stat, clopper_pearson, normal_interval)
+
+
+def beta_ppf_200_steps(p, a, b):
+    """The bisection run for all 200 steps, without the early stop."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if betainc_reg(a, b, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestIncompleteBeta:
@@ -56,6 +68,17 @@ class TestClopperPearson:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 3)
+
+    def test_early_stop_matches_all_200_steps(self):
+        # both tails, where binomial_ci uses Clopper-Pearson, plus the middle
+        pairs = {(w, t) for t in (1, 2, 10, 50, 100, 1000, 10**4, 10**6)
+                 for w in (0, 1, 2, 9, t // 2, t - 9, t - 1, t)
+                 if 0 <= w <= t and (t <= 10**4 or min(w, t - w) < 10)}
+        for w, t in sorted(pairs):
+            for p, a, b in ((0.025, w, t - w + 1), (0.975, w + 1, t - w)):
+                if a > 0 and b > 0:
+                    assert _beta_ppf(p, a, b) == beta_ppf_200_steps(p, a, b), \
+                        (w, t, p)
 
 
 class TestIntervals:
