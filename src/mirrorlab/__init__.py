@@ -8,8 +8,7 @@ run on a compiled core when available (``mirrorlab._core.BACKEND``).
 
 from ._core import BACKEND, HAVE_FAST
 from .engine import (BudgetExceeded, GameConfig, MalformedMove, Outcome,
-                     Player, Strategy, Transcript, measure_state, replay,
-                     run_game)
+                     Player, Strategy, Transcript, replay, run_game)
 from .harness import (ExperimentSpec, enumerate_occurring, exhaust_games,
                       memory_profile, montecarlo)
 from .setfam import (EVEN_EVEN, EVEN_ODD, ODD_EVEN, ODD_ODD, MVFamily,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "HAVE_FAST", "__version__",
     "BudgetExceeded", "GameConfig", "MalformedMove", "Outcome", "Player",
-    "Strategy", "Transcript", "measure_state", "replay", "run_game",
+    "Strategy", "Transcript", "replay", "run_game",
     "ExperimentSpec", "enumerate_occurring", "exhaust_games",
     "memory_profile", "montecarlo",
     "EVEN_EVEN", "EVEN_ODD", "ODD_EVEN", "ODD_ODD", "MVFamily", "ModtownSpec",

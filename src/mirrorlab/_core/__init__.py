@@ -115,20 +115,6 @@ _fast, FALLBACK_REASON = _find_compiled()
 HAVE_FAST = _fast is not None
 BACKEND = "compiled" if HAVE_FAST else "python"
 
-# Strategy codes understood by the compiled game loop.  Anything not listed
-# here is simulated through the regular Python referee.
-KERNEL_CODES = {
-    "mirror": 1,
-    "odd-mirror": 2,
-    "tuple-mirror": 3,
-    "naive": 4,
-    "smallest-unsaid": 4,
-    "largest-unsaid": 5,
-    "random-unsaid": 6,
-    "rand-log": 7,
-    "rand-sqrt": 8,
-}
-
 
 def check_config(config) -> None:
     """ValueError when n, a or b is past the kernel's integer limits."""
@@ -169,53 +155,37 @@ def matching_from_seed(n: int, seed: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _validate(config, alice_spec: str, bob_spec: str) -> None:
-    """``_pycore.validate_matchup``, once per matchup.
-
-    Only successes are cached (``lru_cache`` stores no exception), so a bad
-    matchup raises on every call.
-    """
-    _pycore.validate_matchup(config, alice_spec, bob_spec)
-
-
-def route(config, alice_spec: str, bob_spec: str, *,
-          force_python: bool = False):
+def route(config, alice_spec: str, bob_spec: str):
     """("compiled", kernel arguments) when the kernel plays this matchup,
-    else ("python", None): the path ``play_game`` and ``play_batch`` take."""
-    if not HAVE_FAST or force_python:
-        return "python", None
-    from ..strategies import parse_spec
+    else ("python", None): the path ``play_game`` and ``play_batch`` take.
 
-    aname, aparams = parse_spec(alice_spec)
-    bname, bparams = parse_spec(bob_spec)
-    acode = KERNEL_CODES.get(aname)
-    bcode = KERNEL_CODES.get(bname)
-    if (aparams or bparams or acode is None or bcode is None
-            or acode in (1, 3)     # mirror replies are Bob-side machines
-            or bcode in (2, 7, 8)):  # and these are Alice-side
+    With a compiled core the players are built once (``validate_matchup``),
+    so a bad matchup raises ``ValueError`` here, and the kernel codes are
+    read off the two strategy classes.  Only answers are cached
+    (``lru_cache`` stores no exception): a bad matchup raises on every call.
+    """
+    if not HAVE_FAST:
+        return "python", None
+    from ..strategies import RandSqrtAlice
+
+    alice, bob = _pycore.validate_matchup(config, alice_spec, bob_spec)
+    if not (alice.kernel_code and bob.kernel_code):
         return "python", None
     r = k = q = 0
-    if acode == 8:
-        from ..streamrec import sqrt_strategy_params
-
-        r, k, field = sqrt_strategy_params(config.n)
-        q = field.q
-    return "compiled", (acode, bcode, r, k, q)
+    if isinstance(alice, RandSqrtAlice):
+        r, k, q = alice.r, alice.k, alice.field.q
+    return "compiled", (alice.kernel_code, bob.kernel_code, r, k, q)
 
 
 def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
               *, force_python: bool = False):
-    """One recorded game: (outcome_value, losing_number_or_0, moves).
-
-    ``moves`` is a list of ("A"|"B", tuple_of_numbers).  Dispatches to the
-    compiled loop when both strategies are kernel-codable.
-    """
+    """One recorded game as an ``engine.Transcript``, on the path ``route``
+    names.  No memory budget is checked on either path."""
     check_config(config)
-    _, args = route(config, alice_spec, bob_spec, force_python=force_python)
+    args = None if force_python else route(config, alice_spec, bob_spec)[1]
     if args is None:
         return _pycore.play_game(config, alice_spec, bob_spec, game_seed)
-    _validate(config, alice_spec, bob_spec)
-    return _fast.play_game(config.n, config.a, config.b, *args, game_seed)
+    return _fast.play_game(config, *args, game_seed)
 
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
@@ -223,10 +193,9 @@ def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
     """Outcome counts over seeded trials start..start+trials-1."""
     check_config(config)
     check_trials(start, trials)
-    _, args = route(config, alice_spec, bob_spec, force_python=force_python)
+    args = None if force_python else route(config, alice_spec, bob_spec)[1]
     if args is None:
         return _pycore.play_batch(config, alice_spec, bob_spec,
                                   master_seed, start, trials)
-    _validate(config, alice_spec, bob_spec)
     return _fast.play_batch(config.n, config.a, config.b, *args,
                             master_seed, start, trials)

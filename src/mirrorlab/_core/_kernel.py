@@ -1,9 +1,10 @@
 """ctypes binding of the native kernel ``kernel.c``.
 
 ``Kernel(path)`` loads the compiled library and exposes the functions the
-pure-Python core has, with the same arguments and results.  Each makes one
-foreign call per batch, game or stream and passes ``array`` buffers (a
-packed ``bytes`` buffer for streams).
+pure-Python core has, with the same results; the game functions take the
+kernel's strategy codes in place of specs.  Each makes one foreign call per
+batch, game or stream and passes ``array`` buffers (a packed ``bytes``
+buffer for streams).
 
 ctypes wraps an out-of-range int silently (``c_int(3_000_000_000)`` is
 negative), so every value is range-checked here before it is passed; the
@@ -16,14 +17,16 @@ from __future__ import annotations
 import struct
 from array import array
 
+from ..engine import MoveRecord, Outcome, Player, Transcript
+
 INT_MAX = 2**31 - 1
 MAX_SIZE = INT_MAX - 2      # a size n leaves room for the kernel's n + 2
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 Q_LIMIT = 2**32             # moduli below this keep q^2 below 2^64
 _MASK64 = 2**64 - 1
 
-_OUTCOMES = ("BothWin", "AliceLoses", "BobLoses")
-_PLAYERS = ("A", "B")
+_OUTCOMES = (Outcome.BOTH_WIN, Outcome.ALICE_LOSES, Outcome.BOB_LOSES)
+_PLAYERS = (Player.ALICE, Player.BOB)
 _NOMEM = -1
 
 
@@ -146,35 +149,40 @@ class Kernel:
                 return out[:cnt].tolist()
             cap = cnt
 
-    def play_game(self, n, a, b, acode, bcode, r, k, q, game_seed):
-        """One recorded game: (outcome name, losing number or 0, moves).
+    def play_game(self, config, acode, bcode, r, k, q, game_seed):
+        """One recorded game as an ``engine.Transcript``.
 
         ``r`` and ``k`` are rand-sqrt's backup count and endgame threshold.
         Its sketch modulus ``q`` is range-checked but not passed on: the
         kernel reads the endgame off the numbers said (see ``kernel.c``).
         """
-        _check_game(n, a, b, r, k, q)
+        n = config.n
+        _check_game(n, config.a, config.b, r, k, q)
         cap = 3 * (n + 1)  # at most n + 1 moves, each of at least one number
         rec = _zeros("i", cap)
         info = _zeros("q", 3)
-        code = self._play_game(n, a, b, acode, bcode, r, k,
+        code = self._play_game(n, config.a, config.b, acode, bcode, r, k,
                                game_seed & _MASK64, _addr(rec), cap,
                                _addr(info))
         if code:
             _raise(code, "in a recorded game")
         outcome, losing, used = info
+        # records are (player, count, numbers...); one pass turns them into moves
         flat = rec[:used].tolist()
         moves = []
         pos = 0
         while pos < used:
             end = pos + 2 + flat[pos + 1]
-            moves.append((_PLAYERS[flat[pos]], tuple(flat[pos + 2:end])))
+            moves.append(MoveRecord(_PLAYERS[flat[pos]],
+                                    tuple(flat[pos + 2:end]), len(moves) + 1))
             pos = end
-        return _OUTCOMES[outcome], losing, moves
+        return Transcript(config, moves, _OUTCOMES[outcome], losing or None,
+                          game_seed)
 
     def play_batch(self, n, a, b, acode, bcode, r, k, q, master_seed, start,
                    trials) -> dict:
-        """Outcome counts of the seeded trials; arguments as ``play_game``."""
+        """Outcome counts of the seeded trials; arguments as ``play_game``,
+        with n, a and b in place of the config."""
         _check_game(n, a, b, r, k, q)
         check_trials(start, trials)
         counts = _zeros("q", 4)

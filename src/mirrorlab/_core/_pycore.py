@@ -8,7 +8,7 @@ the reference the compiled loop is tested against.
 
 from __future__ import annotations
 
-from ..rng import ORACLE_STREAM, derive_seed
+from ..rng import derive_seed
 
 
 def power_sums(xs, k: int, q: int) -> list[int]:
@@ -47,40 +47,26 @@ def matching_from_seed(n: int, seed: int) -> list[int]:
     return list(sample_matching(n, seed).table)
 
 
-def _build(config, alice_spec, bob_spec, game_seed):
-    from ..strategies import make_strategy, sample_matching, spec_needs_matching
+def validate_matchup(config, alice_spec, bob_spec):
+    """Both players, built once so a bad matchup fails loudly."""
+    from ..strategies import make_players
 
-    oracle = None
-    if spec_needs_matching(alice_spec) or spec_needs_matching(bob_spec):
-        oracle = sample_matching(config.n, derive_seed(game_seed, ORACLE_STREAM))
-    alice = make_strategy("A", alice_spec, config, oracle=oracle)
-    bob = make_strategy("B", bob_spec, config, oracle=oracle)
-    return alice, bob
-
-
-def validate_matchup(config, alice_spec, bob_spec) -> None:
-    """Construct both strategies once so bad configs fail loudly."""
-    from ..strategies import make_strategy, sample_matching, spec_needs_matching
-
-    oracle = None
-    if spec_needs_matching(alice_spec) or spec_needs_matching(bob_spec):
-        oracle = sample_matching(config.n, 0)
-    make_strategy("A", alice_spec, config, oracle=oracle)
-    make_strategy("B", bob_spec, config, oracle=oracle)
+    return make_players(config, alice_spec, bob_spec, 0)
 
 
 def play_game(config, alice_spec: str, bob_spec: str, game_seed: int):
+    """One recorded game, refereed without budget checks: a Transcript."""
     from ..engine import run_game
+    from ..strategies import make_players
 
-    alice, bob = _build(config, alice_spec, bob_spec, game_seed)
-    t = run_game(alice, bob, config, game_seed)
-    moves = [(m.player.value, m.numbers) for m in t.moves]
-    return t.outcome.value, t.losing_number or 0, moves
+    alice, bob = make_players(config, alice_spec, bob_spec, game_seed)
+    return run_game(alice, bob, config, game_seed, check_budgets=False)
 
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int) -> dict:
     from ..engine import BudgetExceeded, MalformedMove, Outcome, run_game
+    from ..strategies import make_players
 
     counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0,
               "alice_error": 0, "bob_error": 0}
@@ -88,7 +74,7 @@ def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
            Outcome.BOB_LOSES: "bob_loses"}
     for i in range(trials):
         game_seed = derive_seed(master_seed, start + i)
-        alice, bob = _build(config, alice_spec, bob_spec, game_seed)
+        alice, bob = make_players(config, alice_spec, bob_spec, game_seed)
         try:
             t = run_game(alice, bob, config, game_seed,
                          check_budgets=False, record=False)

@@ -33,7 +33,8 @@ enum {
     ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
 };
 
-/* strategy codes; mirrorlab._core.KERNEL_CODES holds the same numbers */
+/* strategy codes; each class in mirrorlab.strategies that the game loop
+   plays carries its number as kernel_code */
 enum {
     CODE_MIRROR = 1,
     CODE_ODD_MIRROR = 2,

@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--alice", default="naive")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_occurring)
 
     p = sub.add_parser("memory", help="profile measured state bits per turn")
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--stream", required=True,
                    help="file of integers, one per line, or - for stdin")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_recover_missing)
 
     p = sub.add_parser("setfam", help="set-family checks and searches")
@@ -274,18 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", required=True,
                    help="odd-even | even-odd | even-even | odd-odd | modtown:p,r1,r2,...")
     c.add_argument("--file", required=True, help='JSON {"n": int, "sets": [[...]]}')
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_setfam)
     m = ss.add_parser("search-max", help="exact maximum town size (exhaustive)")
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--kind", required=True)
-    m.add_argument("--seed", type=int, default=0)
     m.set_defaults(fn=_cmd_setfam)
     v = ss.add_parser("mv-from-modtown",
                       help="matching vector family from a modular town")
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--file", required=True)
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=_cmd_setfam)
 
     p = sub.add_parser("matching-test",

@@ -179,10 +179,12 @@ class Strategy:
 
     Subclasses set ``quota`` (numbers per move), ``budget_bits`` (declared
     canonical-encoding bound, checked by the referee) and, where relevant,
-    ``randomized`` / ``needs_matching``.  ``observe`` is the transition on
-    the opponent's move; ``emit`` produces this player's move and advances
-    the player's own bookkeeping.  Turn indices are inputs to the machine
-    and, like the random tape and any oracle, are not charged to the budget.
+    ``randomized`` / ``needs_matching`` / ``kernel_code`` (the native
+    kernel's number for the same machine; 0 when it has none).  ``observe``
+    is the transition on the opponent's move; ``emit`` produces this
+    player's move and advances the player's own bookkeeping.  Turn indices
+    are inputs to the machine and, like the random tape and any oracle, are
+    not charged to the budget.
     """
 
     name: str = "strategy"
@@ -190,6 +192,7 @@ class Strategy:
     budget_bits: int = 0
     randomized: bool = False
     needs_matching: bool = False
+    kernel_code: int = 0
 
     def reset(self, rng: Optional[SplitMix64] = None) -> None:
         raise NotImplementedError
@@ -207,11 +210,6 @@ class Strategy:
     def state_bits(self) -> int:
         """Exact size in bits of the canonical encoding of the current state."""
         return self.encode_state().nbits
-
-
-def measure_state(strategy: Strategy) -> int:
-    """Serialized size in bits of the strategy's current state."""
-    return strategy.state_bits()
 
 
 StateHook = Callable[[Player, int, Strategy], None]

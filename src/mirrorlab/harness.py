@@ -17,10 +17,10 @@ from typing import Callable, Optional
 from . import _core
 from .engine import (GameConfig, Outcome, Player, Strategy, Transcript,
                      run_game)
-from .rng import ORACLE_STREAM, derive_seed
+from .rng import derive_seed
 from .setfam import SetFamily, TooLarge
 from .stats import binomial_ci
-from .strategies import make_strategy, sample_matching, spec_needs_matching
+from .strategies import make_players
 
 
 @dataclass
@@ -32,15 +32,10 @@ class ExperimentSpec:
     bob: str
     trials: int
     master_seed: int = 0
-    collect: tuple[str, ...] = ("win_rate",)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        known = {"win_rate", "memory_profile", "transcripts"}
-        bad = set(self.collect) - known
-        if bad:
-            raise ValueError(f"unknown collect flags: {sorted(bad)}")
 
 
 def merge_counts(*counts: dict) -> dict:
@@ -56,27 +51,26 @@ def montecarlo(spec: ExperimentSpec,
     """Run the batch and report Alice's win rate with a 95% interval.
 
     Alice "wins" unless she is the player who repeated (a completed game is
-    a win for both).  Uses the compiled game loop when both strategies are
-    kernel-codable; per-game memory budgets are enforced on the Python
-    referee paths and by the dedicated conformance suites, not inside the
-    batch fast path.  ``backend`` in the report names the path this run
-    took: recorded runs and uncodable matchups say ``"python"``.
+    a win for both).  With a ``transcript_sink`` every game is recorded and
+    handed to it.  Games run on the compiled game loop when both strategies
+    are kernel-codable, recorded or not; ``backend`` in the report names
+    the path this run took (``_core.route``).  No memory budget is checked
+    here on either path: ``memory_profile`` and the ``play`` command referee
+    with every budget checked.
     """
     cfg = spec.config
     _core.check_config(cfg)
-    if transcript_sink is not None or "transcripts" in spec.collect:
-        backend = "python"
-        counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0}
-        for i in range(spec.trials):
-            t = _run_recorded(cfg, spec.alice, spec.bob,
-                              derive_seed(spec.master_seed, i))
-            counts[_outcome_key(t.outcome)] += 1
-            if transcript_sink is not None:
-                transcript_sink(t)
-    else:
-        backend, _ = _core.route(cfg, spec.alice, spec.bob)
+    backend, _ = _core.route(cfg, spec.alice, spec.bob)
+    if transcript_sink is None:
         counts = _core.play_batch(cfg, spec.alice, spec.bob,
                                   spec.master_seed, 0, spec.trials)
+    else:
+        counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0}
+        for i in range(spec.trials):
+            t = _core.play_game(cfg, spec.alice, spec.bob,
+                                derive_seed(spec.master_seed, i))
+            counts[_outcome_key(t.outcome)] += 1
+            transcript_sink(t)
 
     wins = counts["both_win"] + counts.get("bob_loses", 0)
     lo, hi, method = binomial_ci(wins, spec.trials)
@@ -105,15 +99,10 @@ def _outcome_key(o: Outcome) -> str:
 
 
 def _run_recorded(cfg: GameConfig, alice_spec: str, bob_spec: str,
-                  game_seed: int, *, on_state=None,
-                  check_budgets: bool = True) -> Transcript:
-    oracle = None
-    if spec_needs_matching(alice_spec) or spec_needs_matching(bob_spec):
-        oracle = sample_matching(cfg.n, derive_seed(game_seed, ORACLE_STREAM))
-    alice = make_strategy("A", alice_spec, cfg, oracle=oracle)
-    bob = make_strategy("B", bob_spec, cfg, oracle=oracle)
-    return run_game(alice, bob, cfg, game_seed,
-                    check_budgets=check_budgets, on_state=on_state)
+                  game_seed: int, *, on_state=None) -> Transcript:
+    """One game on the Python referee with every memory budget checked."""
+    alice, bob = make_players(cfg, alice_spec, bob_spec, game_seed)
+    return run_game(alice, bob, cfg, game_seed, on_state=on_state)
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,13 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    MAXIT, EPS, FPMIN = 300, 3e-14, 1e-300
+    """Continued fraction for the regularized incomplete beta (Lentz).
+
+    It needs O(sqrt(max(a, b))) terms where ``betainc_reg`` uses it, about
+    0.6 sqrt(max(a, b)) near the mean for a, b up to 5e6; the cap allows
+    five times that.
+    """
+    MAXIT, EPS, FPMIN = 300 + int(3 * math.sqrt(max(a, b))), 3e-14, 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap

@@ -6,7 +6,8 @@ Every strategy is a bounded state machine conforming to the engine's
 its declared bit budget.  Randomized strategies draw from the SplitMix64
 tape handed to ``reset``; the compiled game loop consumes the same tapes in
 the same order, which is what makes the two simulation paths agree move for
-move.
+move.  A class the kernel plays carries its ``kernel_code``, the number of
+the same machine in ``_core/kernel.c``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import bisect
 from typing import Iterable, Optional, Sequence
 
 from .engine import BitWriter, GameConfig, Strategy, uint_bits
-from .rng import SplitMix64, sample_distinct
+from .rng import ORACLE_STREAM, SplitMix64, derive_seed, sample_distinct
 from .streamrec import PowerSumSketch, recover_missing, sqrt_strategy_params
 
 
@@ -133,6 +134,8 @@ class MirrorBob(Strategy):
     State: the last number heard (values 0..n, 0 before the first move).
     """
 
+    kernel_code = 1
+
     def __init__(self, n: int):
         if n % 2:
             raise ValueError("mirror pairing needs even n")
@@ -156,6 +159,8 @@ class MirrorBob(Strategy):
 
 class OddMirrorAlice(Strategy):
     """Says n first, then mirrors Bob within 1..n-1 via y -> n-y.  Odd n."""
+
+    kernel_code = 2
 
     def __init__(self, n: int):
         if n % 2 == 0:
@@ -193,6 +198,8 @@ class TupleMirrorBob(Strategy):
     already fully said), so the reply is always the b unsaid block-mates.
     State: the last number heard.
     """
+
+    kernel_code = 3
 
     def __init__(self, n: int, b: int):
         if n % (b + 1):
@@ -288,6 +295,8 @@ class BitmapStrategy(Strategy):
 class SmallestUnsaid(BitmapStrategy):
     """Says the smallest numbers not yet said (the naive full-memory player)."""
 
+    kernel_code = 4
+
     def __init__(self, n: int, quota: int = 1, name: str = "smallest-unsaid"):
         super().__init__(n, quota, name)
         self._cursor = 1
@@ -309,6 +318,8 @@ class SmallestUnsaid(BitmapStrategy):
 
 class LargestUnsaid(BitmapStrategy):
     """Says the largest numbers not yet said."""
+
+    kernel_code = 5
 
     def __init__(self, n: int, quota: int = 1):
         super().__init__(n, quota, "largest-unsaid")
@@ -338,6 +349,7 @@ class LargestUnsaid(BitmapStrategy):
 class UniformRandomUnsaid(BitmapStrategy):
     """Says uniformly random fresh numbers; the generic legal opponent."""
 
+    kernel_code = 6
     randomized = True
 
     def __init__(self, n: int, quota: int = 1):
@@ -419,6 +431,7 @@ class RandLogAlice(Strategy):
     State: a phase bit, the opening number, and the last number heard.
     """
 
+    kernel_code = 7
     randomized = True
     needs_matching = True
 
@@ -484,6 +497,7 @@ class RandSqrtAlice(Strategy):
     tests/test_core_equivalence.py checks the two move for move.
     """
 
+    kernel_code = 8
     randomized = True
     needs_matching = True
 
@@ -625,6 +639,7 @@ def parse_spec(spec: str) -> tuple[str, tuple[int, ...]]:
 _NEEDS_MATCHING = {"rand-log", "rand-sqrt"}
 _ALICE_ONLY = {"odd-mirror", "rand-log", "rand-sqrt"}
 _BOB_ONLY = {"mirror", "tuple-mirror"}
+_TAKES_PARAMS = {"prefer-T", "avoid-D"}
 
 STRATEGY_NAMES = (
     "mirror", "odd-mirror", "tuple-mirror", "naive", "smallest-unsaid",
@@ -641,12 +656,18 @@ def make_strategy(role: str, spec: str, config: GameConfig,
                   oracle: Optional[MatchingOracle] = None) -> Strategy:
     """Build a registered strategy for role "A" or "B" under this config.
 
-    Registry keys are "<role>:<name>[:params]", e.g. "B:mirror",
-    "A:rand-sqrt", "B:prefer-T:2,4".
+    ``spec`` is a name from ``STRATEGY_NAMES``, e.g. "mirror" or
+    "rand-sqrt"; only prefer-T and avoid-D take parameters, as in
+    "prefer-T:2,4".
     """
     name, params = parse_spec(spec)
     n = config.n
     quota = config.a if role == "A" else config.b
+    if name not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {name!r}; "
+                         f"known: {', '.join(STRATEGY_NAMES)}")
+    if params and name not in _TAKES_PARAMS:
+        raise ValueError(f"{name} takes no parameters, got {spec!r}")
     if role == "A" and name in _BOB_ONLY:
         raise ValueError(f"{name} plays second; not an Alice strategy")
     if role == "B" and name in _ALICE_ONLY:
@@ -678,11 +699,21 @@ def make_strategy(role: str, spec: str, config: GameConfig,
         if not params:
             raise ValueError("avoid-D needs a set to dodge, e.g. avoid-D:3,4")
         return AvoidSubset(n, quota, params)
-    if name in ("rand-log", "rand-sqrt"):
-        if config.a != 1 or config.b != 1:
-            raise ValueError(f"{name} is a (1,1)-game strategy")
-        if oracle is None:
-            raise ValueError(f"{name} needs a matching oracle")
-        cls = RandLogAlice if name == "rand-log" else RandSqrtAlice
-        return cls(n, oracle)
-    raise ValueError(f"unknown strategy {name!r}; known: {', '.join(STRATEGY_NAMES)}")
+    # rand-log or rand-sqrt
+    if config.a != 1 or config.b != 1:
+        raise ValueError(f"{name} is a (1,1)-game strategy")
+    if oracle is None:
+        raise ValueError(f"{name} needs a matching oracle")
+    cls = RandLogAlice if name == "rand-log" else RandSqrtAlice
+    return cls(n, oracle)
+
+
+def make_players(config: GameConfig, alice_spec: str, bob_spec: str,
+                 game_seed: int) -> tuple[Strategy, Strategy]:
+    """Alice and Bob for one game.  When either needs a matching oracle,
+    both share the one drawn from ``game_seed``'s oracle stream."""
+    oracle = None
+    if spec_needs_matching(alice_spec) or spec_needs_matching(bob_spec):
+        oracle = sample_matching(config.n, derive_seed(game_seed, ORACLE_STREAM))
+    return (make_strategy("A", alice_spec, config, oracle=oracle),
+            make_strategy("B", bob_spec, config, oracle=oracle))

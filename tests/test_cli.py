@@ -92,7 +92,25 @@ class TestMonteCarlo:
         assert backend("naive") == _core.BACKEND  # kernel-codable
         assert backend("prefer-T:2,4") == "python"  # not codable
         assert backend("naive", "--transcripts",
-                       str(tmp_path / "t.jsonl")) == "python"  # recorded
+                       str(tmp_path / "t.jsonl")) == _core.BACKEND  # recorded
+
+    @pytest.mark.parametrize("alice,bob,n", [
+        ("rand-log", "smallest-unsaid", 100),  # kernel-codable
+        ("prefer-T:2,4", "mirror", 10),        # not codable
+    ])
+    def test_transcripts_identical_on_both_cores(self, tmp_path, alice, bob,
+                                                 n):
+        files = []
+        for pure_python in (False, True):
+            path = tmp_path / f"games-{pure_python}.jsonl"
+            proc = run_cli_process(
+                ["montecarlo", "--n", str(n), "--alice", alice, "--bob", bob,
+                 "--trials", "20", "--seed", "3", "--transcripts", str(path)],
+                pure_python=pure_python)
+            assert proc.returncode == 0, proc.stderr
+            files.append(path.read_bytes())
+        assert len(files[0].splitlines()) == 20
+        assert files[0] == files[1]
 
 
 class TestOccurring:

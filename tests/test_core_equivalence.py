@@ -12,6 +12,7 @@ from mirrorlab import _core
 from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.rng import derive_seed
+from mirrorlab.strategies import make_players
 from mirrorlab.streamrec import select_prime
 
 pytestmark = pytest.mark.skipif(
@@ -134,7 +135,7 @@ SQRT_N400 = [
 def test_rand_sqrt_endgame_and_give_up_at_n400(bob, games):
     cfg = GameConfig(400)
     for seed, entered_endgame, gave_up in games:
-        alice, opponent = _pycore._build(cfg, "rand-sqrt", bob, seed)
+        alice, opponent = make_players(cfg, "rand-sqrt", bob, seed)
         run_game(alice, opponent, cfg, seed, check_budgets=False,
                  record=False)
         assert (alice.entered_endgame, alice.gave_up) == (
@@ -152,27 +153,29 @@ def test_matchup_validated_once_bad_one_every_call(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        validate(*args)
+        return validate(*args)
 
     validate = _pycore.validate_matchup
     monkeypatch.setattr(_pycore, "validate_matchup", counting)
-    _core._validate.cache_clear()
+    _core.route.cache_clear()
     good = GameConfig(40)
     for _ in range(3):
         _core.play_batch(good, "rand-sqrt", "smallest-unsaid", 1, 0, 2)
         _core.play_game(good, "rand-sqrt", "smallest-unsaid", 1)
+    assert _core.route(good, "rand-sqrt", "smallest-unsaid")[0] == "compiled"
     assert len(calls) == 1
-    bad = GameConfig(10)  # rand-sqrt needs n >= 16; route still says compiled
-    assert _core.route(bad, "rand-sqrt", "smallest-unsaid")[0] == "compiled"
+    bad = GameConfig(10)  # rand-sqrt needs n >= 16
     for _ in range(2):
+        with pytest.raises(ValueError, match="n >= 16"):
+            _core.route(bad, "rand-sqrt", "smallest-unsaid")
         with pytest.raises(ValueError, match="n >= 16"):
             _core.play_batch(bad, "rand-sqrt", "smallest-unsaid", 1, 0, 2)
         with pytest.raises(ValueError, match="n >= 16"):
             _core.play_game(bad, "rand-sqrt", "smallest-unsaid", 1)
-    assert len(calls) == 5
+    assert len(calls) == 7
 
 
-# Kernel-codable strategies by role (see _core.route).
+# Kernel-codable strategies by role (their classes have a kernel_code).
 CODABLE_ALICE = ("naive", "odd-mirror", "smallest-unsaid", "largest-unsaid",
                  "random-unsaid", "rand-log", "rand-sqrt")
 CODABLE_BOB = ("mirror", "tuple-mirror", "naive", "smallest-unsaid",

@@ -6,7 +6,7 @@ import pytest
 
 from mirrorlab.engine import (BitWriter, BudgetExceeded, GameConfig,
                               MalformedMove, Outcome, Player, Strategy,
-                              Transcript, measure_state, replay, run_game,
+                              Transcript, replay, run_game,
                               uint_bits)
 from mirrorlab.strategies import (ConstantStrategy, MirrorBob, ScriptedStrategy,
                                   SmallestUnsaid, TupleMirrorBob)
@@ -168,18 +168,18 @@ class TestMeasureState:
             s = MirrorBob(n)
             s.reset(None)
             s.observe((1,), 1)
-            assert measure_state(s) == uint_bits(n)
-            assert measure_state(s) <= math.ceil(math.log2(n + 1))
+            assert s.state_bits() == uint_bits(n)
+            assert s.state_bits() <= math.ceil(math.log2(n + 1))
 
     def test_naive_bitmap_bits(self):
         s = SmallestUnsaid(8, 1, name="naive")
         s.reset(None)
-        assert measure_state(s) == 8 + 4  # bitmap + counter
+        assert s.state_bits() == 8 + 4  # bitmap + counter
 
     def test_stateless_strategy_zero_bits(self):
         s = ConstantStrategy([3])
         s.reset(None)
-        assert measure_state(s) == 0
+        assert s.state_bits() == 0
 
     def test_encode_matches_declared_length(self):
         s = MirrorBob(10)

@@ -48,8 +48,7 @@ class TestMonteCarlo:
     def test_transcript_sink(self):
         lines = []
         spec = ExperimentSpec(GameConfig(6), "naive", "mirror",
-                              trials=3, master_seed=2,
-                              collect=("win_rate", "transcripts"))
+                              trials=3, master_seed=2)
         rep = montecarlo(spec, transcript_sink=lambda t: lines.append(t.to_json()))
         assert len(lines) == 3
         assert rep["win_rate"] == 1.0
@@ -58,9 +57,6 @@ class TestMonteCarlo:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             ExperimentSpec(GameConfig(6), "naive", "mirror", trials=0)
-        with pytest.raises(ValueError):
-            ExperimentSpec(GameConfig(6), "naive", "mirror", trials=5,
-                           collect=("nonsense",))
 
 
 class TestExhaustGames:

@@ -80,6 +80,17 @@ class TestClopperPearson:
                     assert _beta_ppf(p, a, b) == beta_ppf_200_steps(p, a, b), \
                         (w, t, p)
 
+    def test_mid_range_counts_at_a_million_trials(self):
+        # the continued fraction needs ~0.6 sqrt(max(a, b)) terms here, more
+        # than a fixed cap of 300
+        w, t = 500_000, 10**6
+        lo, hi = clopper_pearson(w, t)
+        assert lo == pytest.approx(0.49902, abs=1e-5)
+        assert hi == pytest.approx(0.50098, abs=1e-5)
+        assert lo < 0.5 < hi
+        assert betainc_reg(w, t - w + 1, lo) == pytest.approx(0.025, abs=1e-9)
+        assert betainc_reg(w + 1, t - w, hi) == pytest.approx(0.975, abs=1e-9)
+
 
 class TestIntervals:
     def test_normal_interval(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorlab.engine import GameConfig, Outcome, measure_state, run_game
+from mirrorlab.engine import GameConfig, Outcome, run_game
 from mirrorlab.harness import exhaust_games
 from mirrorlab.rng import SplitMix64, derive_seed
 from mirrorlab.strategies import (AvoidSubset, ConstantStrategy, LargestUnsaid,
@@ -137,7 +137,7 @@ class TestBitmapAdversaries:
     def test_naive_state_bits(self):
         s = SmallestUnsaid(8, 1, name="naive")
         s.reset(None)
-        assert measure_state(s) == 12
+        assert s.state_bits() == 12
         assert s.budget_bits == 8 + 4
 
     def test_largest_unsaid(self):
@@ -323,6 +323,20 @@ class TestRegistry:
                           oracle=sample_matching(6, 0))
         with pytest.raises(ValueError):
             make_strategy("A", "no-such", cfg)
+
+    def test_parameters_only_where_taken(self):
+        cfg = GameConfig(6)
+        oracle = sample_matching(6, 0)
+        for role, spec in [("A", "naive:3"), ("B", "naive:3"),
+                           ("A", "smallest-unsaid:1"), ("B", "mirror:1,2"),
+                           ("A", "odd-mirror:1"), ("B", "tuple-mirror:2"),
+                           ("A", "random-unsaid:5"), ("B", "largest-unsaid:2"),
+                           ("A", "rand-log:4"), ("A", "rand-sqrt:4")]:
+            with pytest.raises(ValueError, match="takes no parameters"):
+                make_strategy(role, spec, cfg, oracle=oracle)
+        for role in ("A", "B"):
+            assert make_strategy(role, "prefer-T:2,4", cfg).target == (2, 4)
+            assert make_strategy(role, "avoid-D:3", cfg).avoid == {3}
 
     def test_all_registry_names_buildable(self):
         cfg = GameConfig(18, 1, 1)
