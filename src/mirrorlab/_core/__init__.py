@@ -14,8 +14,12 @@ later imports load the cached library.  When that fails, or
 ``FALLBACK_REASON`` says why (it is ``None`` on the compiled core).  A failed
 build never makes the import fail.
 
-Sizes past the kernel's integer limits raise ``ValueError`` on both backends,
-before anything of size n is allocated.
+This module is the only way into either core.  Every public function here
+range-checks its inputs once, on both backends, before anything of size n
+is allocated: sizes past the kernel's integer limits, moduli past 2^32 and
+trial indices past 64 bits raise ``ValueError``.  The binding passes values
+on unchecked, and ctypes wraps an out-of-range int silently
+(``c_int(3_000_000_000)`` is negative).
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ import tempfile
 from pathlib import Path
 
 from . import _pycore
-from ._kernel import (Kernel, check_matching_size, check_modulus, check_size,
-                      check_trials)
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 _COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~0.5 s on a 2-CPU x86-64
+
+INT_MAX = 2**31 - 1
+MAX_SIZE = INT_MAX - 2      # a size n leaves room for the kernel's n + 2
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+Q_LIMIT = 2**32             # moduli below this keep q^2 below 2^64
 
 
 def _cache_dir() -> Path:
@@ -105,6 +112,8 @@ def _find_compiled():
         error = _compile(target)
         if error is not None:
             return None, error
+    from ._kernel import Kernel  # loads ctypes, which the Python core never needs
+
     try:
         return Kernel(target), None
     except OSError as exc:
@@ -114,6 +123,26 @@ def _find_compiled():
 _fast, FALLBACK_REASON = _find_compiled()
 HAVE_FAST = _fast is not None
 BACKEND = "compiled" if HAVE_FAST else "python"
+
+
+def check_size(name: str, value: int) -> None:
+    if not -INT_MAX <= value <= MAX_SIZE:
+        raise ValueError(f"{name}={value} is past the native kernel's limit "
+                         f"of {MAX_SIZE}")
+
+
+def check_modulus(q: int) -> None:
+    if not 1 <= q < Q_LIMIT:
+        raise ValueError(f"modulus q={q} is outside 1..{Q_LIMIT - 1}")
+
+
+def check_trials(start: int, trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials={trials} is negative")
+    last = start + max(trials, 1) - 1
+    if not INT64_MIN <= start <= last <= INT64_MAX:
+        raise ValueError(f"trial indices {start}..{start + trials - 1} do not "
+                         "fit a signed 64-bit integer")
 
 
 def check_config(config) -> None:
@@ -141,17 +170,11 @@ def full_power_sums(n: int, k: int, q: int) -> list[int]:
 
 def poly_root_scan(e, n: int, q: int) -> list[int]:
     check_size("n", n)
+    check_size("k", len(e))
     check_modulus(q)
     if HAVE_FAST:
         return _fast.poly_root_scan(e, n, q)
     return _pycore.poly_root_scan(e, n, q)
-
-
-def matching_from_seed(n: int, seed: int) -> list[int]:
-    check_matching_size(n)
-    if HAVE_FAST:
-        return _fast.matching_from_seed(n, seed)
-    return _pycore.matching_from_seed(n, seed)
 
 
 @functools.lru_cache(maxsize=256)
@@ -159,11 +182,13 @@ def route(config, alice_spec: str, bob_spec: str):
     """("compiled", kernel arguments) when the kernel plays this matchup,
     else ("python", None): the path ``play_game`` and ``play_batch`` take.
 
-    With a compiled core the players are built once (``validate_matchup``),
+    The config is range-checked first, before any player is built.  With a
+    compiled core the players are then built once (``validate_matchup``),
     so a bad matchup raises ``ValueError`` here, and the kernel codes are
     read off the two strategy classes.  Only answers are cached
-    (``lru_cache`` stores no exception): a bad matchup raises on every call.
+    (``lru_cache`` stores no exception): a bad input raises on every call.
     """
+    check_config(config)
     if not HAVE_FAST:
         return "python", None
     from ..strategies import RandSqrtAlice
@@ -171,18 +196,26 @@ def route(config, alice_spec: str, bob_spec: str):
     alice, bob = _pycore.validate_matchup(config, alice_spec, bob_spec)
     if not (alice.kernel_code and bob.kernel_code):
         return "python", None
-    r = k = q = 0
+    r = k = 0
     if isinstance(alice, RandSqrtAlice):
-        r, k, q = alice.r, alice.k, alice.field.q
-    return "compiled", (alice.kernel_code, bob.kernel_code, r, k, q)
+        r, k = alice.r, alice.k
+    return "compiled", (alice.kernel_code, bob.kernel_code, r, k)
+
+
+def _kernel_args(config, alice_spec: str, bob_spec: str, force_python: bool):
+    """``route``'s kernel arguments, or None for the Python core; either way
+    the config has been range-checked."""
+    if force_python:
+        check_config(config)
+        return None
+    return route(config, alice_spec, bob_spec)[1]
 
 
 def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
               *, force_python: bool = False):
     """One recorded game as an ``engine.Transcript``, on the path ``route``
     names.  No memory budget is checked on either path."""
-    check_config(config)
-    args = None if force_python else route(config, alice_spec, bob_spec)[1]
+    args = _kernel_args(config, alice_spec, bob_spec, force_python)
     if args is None:
         return _pycore.play_game(config, alice_spec, bob_spec, game_seed)
     return _fast.play_game(config, *args, game_seed)
@@ -190,12 +223,11 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int, *, force_python: bool = False) -> dict:
-    """Outcome counts over seeded trials start..start+trials-1."""
-    check_config(config)
+    """Counts of the three outcomes (``engine.COUNT_KEYS``) over seeded
+    trials start..start+trials-1."""
     check_trials(start, trials)
-    args = None if force_python else route(config, alice_spec, bob_spec)[1]
+    args = _kernel_args(config, alice_spec, bob_spec, force_python)
     if args is None:
         return _pycore.play_batch(config, alice_spec, bob_spec,
                                   master_seed, start, trials)
-    return _fast.play_batch(config.n, config.a, config.b, *args,
-                            master_seed, start, trials)
+    return _fast.play_batch(config, *args, master_seed, start, trials)

@@ -3,7 +3,8 @@
 Same observable behavior as the native kernel (bit-identical transcripts and
 sums), an order of magnitude or two slower.  The game loop here delegates to
 the real Strategy objects and the regular referee, so this module is also
-the reference the compiled loop is tested against.
+the reference the compiled loop is tested against.  Only ``mirrorlab._core``
+calls it, after range-checking every input.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ def poly_root_scan(e, n: int, q: int) -> list[int]:
     return roots
 
 
-def matching_from_seed(n: int, seed: int) -> list[int]:
-    """Partner table of the seeded uniform matching; entry 0 unused."""
-    from ..strategies import sample_matching
-
-    return list(sample_matching(n, seed).table)
-
-
 def validate_matchup(config, alice_spec, bob_spec):
     """Both players, built once so a bad matchup fails loudly."""
     from ..strategies import make_players
@@ -65,22 +59,16 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int):
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int) -> dict:
-    from ..engine import BudgetExceeded, MalformedMove, Outcome, run_game
+    """Outcome counts of the seeded games, refereed without budget checks;
+    a faulty strategy's ``MalformedMove`` propagates."""
+    from ..engine import COUNT_KEYS, run_game
     from ..strategies import make_players
 
-    counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0,
-              "alice_error": 0, "bob_error": 0}
-    key = {Outcome.BOTH_WIN: "both_win", Outcome.ALICE_LOSES: "alice_loses",
-           Outcome.BOB_LOSES: "bob_loses"}
+    counts = dict.fromkeys(COUNT_KEYS.values(), 0)
     for i in range(trials):
         game_seed = derive_seed(master_seed, start + i)
         alice, bob = make_players(config, alice_spec, bob_spec, game_seed)
-        try:
-            t = run_game(alice, bob, config, game_seed,
-                         check_budgets=False, record=False)
-        except (MalformedMove, BudgetExceeded) as exc:
-            who = "alice_error" if exc.player.value == "A" else "bob_error"
-            counts[who] += 1
-            continue
-        counts[key[t.outcome]] += 1
+        t = run_game(alice, bob, config, game_seed,
+                     check_budgets=False, record=False)
+        counts[COUNT_KEYS[t.outcome]] += 1
     return counts

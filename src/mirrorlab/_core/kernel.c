@@ -15,8 +15,8 @@
  * reads its endgame moves off said[] instead.  The prime-field kernels below
  * serve the stream-recovery functions only.
  *
- * Every size the caller passes has been range-checked by the binding: n, a,
- * b, r and k fit an int with room for n + 2, and q < 2^32 so q^2 < 2^64.
+ * mirrorlab._core has range-checked every size the binding passes: n, a, b,
+ * r and k fit an int with room for n + 2, and q < 2^32 so q^2 < 2^64.
  *
  * Return codes: 0 success, ML_NOMEM when an allocation fails, and the
  * positive ML_* codes for a bad request.
@@ -33,17 +33,17 @@ enum {
     ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
 };
 
-/* strategy codes; each class in mirrorlab.strategies that the game loop
-   plays carries its number as kernel_code */
+/* strategy codes; the class in mirrorlab.strategies named beside each code
+   carries it as kernel_code (tests/test_core_build.py checks both sides) */
 enum {
-    CODE_MIRROR = 1,
-    CODE_ODD_MIRROR = 2,
-    CODE_TUPLE_MIRROR = 3,
-    CODE_SMALLEST = 4,
-    CODE_LARGEST = 5,
-    CODE_RANDOM = 6,
-    CODE_RAND_LOG = 7,
-    CODE_RAND_SQRT = 8,
+    CODE_MIRROR = 1,        /* MirrorBob */
+    CODE_ODD_MIRROR = 2,    /* OddMirrorAlice */
+    CODE_TUPLE_MIRROR = 3,  /* TupleMirrorBob */
+    CODE_SMALLEST = 4,      /* SmallestUnsaid */
+    CODE_LARGEST = 5,       /* LargestUnsaid */
+    CODE_RANDOM = 6,        /* UniformRandomUnsaid */
+    CODE_RAND_LOG = 7,      /* RandLogAlice */
+    CODE_RAND_SQRT = 8,     /* RandSqrtAlice */
 };
 
 /* ------------------------------------------------------------------------
@@ -87,11 +87,6 @@ static inline u64 randbelow(u64 *state, u64 k)
     return v;
 }
 
-u64 ml_derive(u64 master, u64 index)
-{
-    return derive(master, index);
-}
-
 /* ------------------------------------------------------------------------
  * prime-field kernels */
 
@@ -129,39 +124,22 @@ void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
         ingest(sums, k, (u64)v, q);
 }
 
-/* Roots in 1..n of x^k - e1 x^(k-1) + e2 x^(k-2) - ... over GF(q), with
- * e[1..k] reduced mod q.  Writes the first cap roots to out and returns how
- * many there are. */
-static int root_scan(const u64 *e, int k, int n, u64 q, u64 *coef,
-                     int *out, int cap)
+/* Roots in 1..n of x^k + c[0] x^(k-1) + ... + c[k-1] over GF(q), with the
+ * coefficients reduced mod q.  Writes the first cap roots to out and returns
+ * how many there are. */
+int ml_root_scan(const u64 *c, int k, int n, u64 q, int *out, int cap)
 {
     int cnt = 0;
-    for (int j = 1; j <= k; j++)
-        coef[j] = (j & 1) ? (q - e[j]) % q : e[j];
     for (int x = 1; x <= n; x++) {
         u64 val = 1;
-        for (int j = 1; j <= k; j++)
-            val = (val * (u64)x + coef[j]) % q;
+        for (int j = 0; j < k; j++)
+            val = (val * (u64)x + c[j]) % q;
         if (val == 0) {
             if (cnt < cap)
                 out[cnt] = x;
             cnt++;
         }
     }
-    return cnt;
-}
-
-/* e[0..k) holds e1..ek reduced mod q; returns the root count or ML_NOMEM */
-int ml_root_scan(const u64 *e, int k, int n, u64 q, int *out, int cap)
-{
-    u64 *buf = malloc(2 * ((size_t)k + 1) * sizeof(u64));
-    int cnt;
-    if (buf == NULL)
-        return ML_NOMEM;
-    for (int j = 0; j < k; j++)
-        buf[j + 1] = e[j];
-    cnt = root_scan(buf, k, n, q, buf + k + 1, out, cap);
-    free(buf);
     return cnt;
 }
 
@@ -182,18 +160,6 @@ static void build_matching(int n, u64 *state, int *perm, int *match)
         match[perm[t]] = perm[t + 1];
         match[perm[t + 1]] = perm[t];
     }
-}
-
-/* partner table match[0..n] (entry 0 is 0) of the seeded uniform matching */
-int ml_matching(int n, u64 seed, int *match)
-{
-    int *perm = malloc(((size_t)n + 1) * sizeof(int));
-    if (perm == NULL)
-        return ML_NOMEM;
-    match[0] = 0;
-    build_matching(n, &seed, perm, match);
-    free(perm);
-    return 0;
 }
 
 /* ------------------------------------------------------------------------

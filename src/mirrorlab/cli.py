@@ -56,14 +56,34 @@ def _cmd_play(args) -> int:
     return 0
 
 
+def _load_spec(path: str, seed: int) -> ExperimentSpec:
+    """The experiment in a JSON spec file; ValueError if it is malformed."""
+    with open(path) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"spec {path}: expected a JSON object")
+    config = d.get("config")
+    if (not isinstance(config, dict) or "n" not in config
+            or not set(config) <= {"n", "a", "b"}):
+        raise ValueError(f'spec {path}: "config" must be an object with "n" '
+                         'and optionally "a" and "b"')
+    master_seed = d.get("master_seed", seed)
+    for key, value, kind in [*((k, v, int) for k, v in config.items()),
+                             ("alice", d.get("alice"), str),
+                             ("bob", d.get("bob"), str),
+                             ("trials", d.get("trials"), int),
+                             ("master_seed", master_seed, int)]:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f'spec {path}: "{key}" must be a JSON '
+                             f'{"string" if kind is str else "integer"}')
+    return ExperimentSpec(config=GameConfig(**config), alice=d["alice"],
+                          bob=d["bob"], trials=d["trials"],
+                          master_seed=master_seed)
+
+
 def _cmd_montecarlo(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            d = json.load(fh)
-        cfg = GameConfig(**d["config"])
-        spec = ExperimentSpec(config=cfg, alice=d["alice"], bob=d["bob"],
-                              trials=d["trials"],
-                              master_seed=d.get("master_seed", args.seed))
+        spec = _load_spec(args.spec, args.seed)
     else:
         if args.n is None:
             raise ValueError("either --spec or --n is required")

@@ -43,6 +43,12 @@ class Outcome(Enum):
     BOTH_WIN = "BothWin"
 
 
+# each outcome's key in the counts of a batch of games, in the native
+# kernel's outcome order (0 both win, 1 Alice loses, 2 Bob loses)
+COUNT_KEYS = {Outcome.BOTH_WIN: "both_win", Outcome.ALICE_LOSES: "alice_loses",
+              Outcome.BOB_LOSES: "bob_loses"}
+
+
 class MalformedMove(Exception):
     """A strategy emitted a move of the wrong length or out of range."""
 
@@ -179,19 +185,17 @@ class Strategy:
 
     Subclasses set ``quota`` (numbers per move), ``budget_bits`` (declared
     canonical-encoding bound, checked by the referee) and, where relevant,
-    ``randomized`` / ``needs_matching`` / ``kernel_code`` (the native
-    kernel's number for the same machine; 0 when it has none).  ``observe``
-    is the transition on the opponent's move; ``emit`` produces this
-    player's move and advances the player's own bookkeeping.  Turn indices
-    are inputs to the machine and, like the random tape and any oracle, are
-    not charged to the budget.
+    ``randomized`` / ``kernel_code`` (the native kernel's number for the
+    same machine; 0 when it has none).  ``observe`` is the transition on the
+    opponent's move; ``emit`` produces this player's move and advances the
+    player's own bookkeeping.  Turn indices are inputs to the machine and,
+    like the random tape and any oracle, are not charged to the budget.
     """
 
     name: str = "strategy"
     quota: int = 1
     budget_bits: int = 0
     randomized: bool = False
-    needs_matching: bool = False
     kernel_code: int = 0
 
     def reset(self, rng: Optional[SplitMix64] = None) -> None:

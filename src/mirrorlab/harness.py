@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from . import _core
-from .engine import (GameConfig, Outcome, Player, Strategy, Transcript,
+from .engine import (COUNT_KEYS, GameConfig, Player, Strategy, Transcript,
                      run_game)
 from .rng import derive_seed
 from .setfam import SetFamily, TooLarge
@@ -59,20 +59,19 @@ def montecarlo(spec: ExperimentSpec,
     with every budget checked.
     """
     cfg = spec.config
-    _core.check_config(cfg)
     backend, _ = _core.route(cfg, spec.alice, spec.bob)
     if transcript_sink is None:
         counts = _core.play_batch(cfg, spec.alice, spec.bob,
                                   spec.master_seed, 0, spec.trials)
     else:
-        counts = {"both_win": 0, "alice_loses": 0, "bob_loses": 0}
+        counts = dict.fromkeys(COUNT_KEYS.values(), 0)
         for i in range(spec.trials):
             t = _core.play_game(cfg, spec.alice, spec.bob,
                                 derive_seed(spec.master_seed, i))
-            counts[_outcome_key(t.outcome)] += 1
+            counts[COUNT_KEYS[t.outcome]] += 1
             transcript_sink(t)
 
-    wins = counts["both_win"] + counts.get("bob_loses", 0)
+    wins = counts["both_win"] + counts["bob_loses"]
     lo, hi, method = binomial_ci(wins, spec.trials)
     losses = {k: v for k, v in counts.items()
               if k != "both_win" and v}
@@ -87,15 +86,9 @@ def montecarlo(spec: ExperimentSpec,
         "win_rate": wins / spec.trials,
         "ci95": [lo, hi],
         "ci_method": method,
-        "outcomes": {k: counts.get(k, 0)
-                     for k in ("both_win", "alice_loses", "bob_loses")},
+        "outcomes": counts,
         "losses_by_cause": losses,
     }
-
-
-def _outcome_key(o: Outcome) -> str:
-    return {Outcome.BOTH_WIN: "both_win", Outcome.ALICE_LOSES: "alice_loses",
-            Outcome.BOB_LOSES: "bob_loses"}[o]
 
 
 def _run_recorded(cfg: GameConfig, alice_spec: str, bob_spec: str,

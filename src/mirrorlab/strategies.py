@@ -433,7 +433,6 @@ class RandLogAlice(Strategy):
 
     kernel_code = 7
     randomized = True
-    needs_matching = True
 
     def __init__(self, n: int, oracle: MatchingOracle):
         if n % 2:
@@ -499,7 +498,6 @@ class RandSqrtAlice(Strategy):
 
     kernel_code = 8
     randomized = True
-    needs_matching = True
 
     def __init__(self, n: int, oracle: MatchingOracle):
         if n % 2:

@@ -72,6 +72,24 @@ class TestMonteCarlo:
         assert rc == 0
         assert json.loads(out)["win_rate"] == 1.0
 
+    @pytest.mark.parametrize("doc,complaint", [
+        ({"config": {"n": 10, "c": 1}, "alice": "naive", "bob": "mirror",
+          "trials": 5}, '"config" must be an object'),
+        ({"config": {"n": 10}, "bob": "mirror", "trials": 5},
+         '"alice" must be a JSON string'),
+        ([1, 2], "expected a JSON object"),
+        ({"config": {"n": "10"}, "alice": "naive", "bob": "mirror",
+          "trials": 5}, '"n" must be a JSON integer'),
+    ], ids=["unknown-config-key", "no-alice", "not-an-object", "string-n"])
+    def test_malformed_spec_file(self, tmp_path, capsys, doc, complaint):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        rc, out = run_cli(["montecarlo", "--spec", str(p)])
+        assert (rc, out) == (2, "")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: spec ")
+        assert complaint in lines[0]
+
     def test_transcript_file(self, tmp_path):
         p = tmp_path / "games.jsonl"
         rc, _ = run_cli(["montecarlo", "--n", "8", "--alice", "naive",
@@ -224,6 +242,13 @@ class TestKernelLimits:
         self.check_rejected(run_cli_process(
             ["montecarlo", "--n", "3000000000", "--alice", "random-unsaid",
              "--bob", "mirror", "--trials", "1"], pure_python=pure_python))
+
+    def test_montecarlo_rand_log(self, pure_python):
+        # rejected before the n-sized matching oracle is drawn
+        self.check_rejected(run_cli_process(
+            ["montecarlo", "--n", "3000000000", "--alice", "rand-log",
+             "--bob", "smallest-unsaid", "--trials", "1"],
+            pure_python=pure_python))
 
     def test_recover_missing(self, pure_python):
         self.check_rejected(run_cli_process(

@@ -5,8 +5,10 @@ own cache directory, so nothing here depends on (or writes to) the user's
 cache or an in-tree build.
 """
 
+import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -113,3 +115,24 @@ def test_kernel_has_no_warnings(tmp_path):
                           "-c", str(source), "-o", str(tmp_path / "kernel.o")],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_kernel_and_python_agree_on_codes_and_exports():
+    # The strategy codes and the exported functions live on both sides of
+    # the ctypes boundary; each enum entry names its class in a comment.
+    from mirrorlab import strategies
+    from mirrorlab._core._kernel import FUNCTIONS
+
+    source = (PACKAGE / "_core" / "kernel.c").read_text()
+    codes = re.findall(r"^\s*CODE_\w+ = (\d+),\s*/\* (\w+) \*/", source,
+                       re.M)
+    assert codes
+    assert {cls: getattr(strategies, cls).kernel_code for _, cls in codes} \
+        == {cls: int(code) for code, cls in codes}
+    codable = {name for name, cls in inspect.getmembers(strategies,
+                                                        inspect.isclass)
+               if getattr(cls, "kernel_code", 0)}
+    assert codable == {cls for _, cls in codes}
+
+    exported = re.findall(r"^(?!static\b)\w[\w ]*?\b(ml_\w+)\(", source, re.M)
+    assert sorted(exported) == sorted(FUNCTIONS)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mirrorlab import _core
 from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig, run_game
-from mirrorlab.rng import derive_seed
 from mirrorlab.strategies import make_players
 from mirrorlab.streamrec import select_prime
 
@@ -36,18 +35,6 @@ MATCHUPS = [
     (GameConfig(15, 2, 2), "random-unsaid", "random-unsaid"),
     (GameConfig(14, 3, 2), "largest-unsaid", "smallest-unsaid"),
 ]
-
-
-def test_rng_primitives_agree():
-    for master, idx in [(0, 0), (1, 2), (123456789, 314), (2**63 + 11, 7)]:
-        assert _fastcore.derive_seed(master, idx) == derive_seed(master, idx)
-
-
-def test_matching_tables_agree():
-    for n in (2, 4, 8, 50, 200):
-        for seed in range(25):
-            assert (_fastcore.matching_from_seed(n, seed)
-                    == _pycore.matching_from_seed(n, seed))
 
 
 @pytest.mark.parametrize("cfg,alice,bob",

@@ -33,6 +33,9 @@ def test_trial_indices(force_python):
     with pytest.raises(ValueError, match="64-bit"):
         _core.play_batch(cfg, "naive", "mirror", 0, -2**63 - 1, 1,
                          force_python=force_python)
+    with pytest.raises(ValueError, match="negative"):
+        _core.play_batch(cfg, "naive", "mirror", 0, 0, -1,
+                         force_python=force_python)
     counts = _core.play_batch(cfg, "random-unsaid", "largest-unsaid", 5,
                               last - 1, 2, force_python=force_python)
     assert counts == _core.play_batch(cfg, "random-unsaid", "largest-unsaid",
@@ -48,19 +51,15 @@ def test_field_sizes():
         _core.full_power_sums(TOO_BIG, 1, 7)
     with pytest.raises(ValueError, match="n=3000000000"):
         _core.poly_root_scan([1], TOO_BIG, 7)
-    with pytest.raises(ValueError, match="even n"):
-        _core.matching_from_seed(7, 0)
 
 
 @pytest.mark.skipif(not _core.HAVE_FAST,
                     reason=f"no compiled core: {_core.FALLBACK_REASON}")
 def test_binding_checks_on_its_own():
+    # _core range-checks everything else; only packing sees a stream element
+    # past 64 bits
     fast = _core._fast
-    with pytest.raises(ValueError):
-        fast.play_batch(TOO_BIG, 1, 1, 6, 1, 0, 0, 0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        fast.full_power_sums(TOO_BIG, 1, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="64-bit"):
         fast.power_sums([2**64], 1, 7)
     xs = [-3, 10, 2**62]
     assert fast.power_sums(xs, 3, 7) == _pycore.power_sums(xs, 3, 7)

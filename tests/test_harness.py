@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from mirrorlab import _core
-from mirrorlab.engine import GameConfig
+from mirrorlab import _core, strategies
+from mirrorlab.engine import GameConfig, MalformedMove
 from mirrorlab.harness import (ExperimentSpec, enumerate_occurring,
                                exhaust_games, memory_profile, merge_counts,
                                montecarlo)
 from mirrorlab.setfam import check_covering, covering_lower_bound
-from mirrorlab.strategies import MirrorBob, SmallestUnsaid, UniformRandomUnsaid
+from mirrorlab.strategies import (ConstantStrategy, MirrorBob, SmallestUnsaid,
+                                  UniformRandomUnsaid)
 
 
 class TestMonteCarlo:
@@ -44,6 +45,17 @@ class TestMonteCarlo:
         first = _core.play_batch(cfg, "rand-log", "random-unsaid", 5, 0, 150)
         rest = _core.play_batch(cfg, "rand-log", "random-unsaid", 5, 150, 250)
         assert merge_counts(first, rest) == full
+
+    def test_faulty_strategy_raises_on_the_python_core(self, monkeypatch):
+        # Python-core batches count outcomes only: a strategy's fault is an
+        # error there, as it is (RuntimeError) in the kernel
+        def faulty_players(config, alice_spec, bob_spec, game_seed):
+            return ConstantStrategy([config.n + 1]), MirrorBob(config.n)
+
+        monkeypatch.setattr(strategies, "make_players", faulty_players)
+        with pytest.raises(MalformedMove):
+            _core.play_batch(GameConfig(6), "naive", "mirror", 0, 0, 3,
+                             force_python=True)
 
     def test_transcript_sink(self):
         lines = []
