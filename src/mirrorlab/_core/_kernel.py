@@ -4,7 +4,8 @@
 pure-Python core has, with the same results; the game functions take the
 kernel's strategy codes in place of specs.  Each makes one foreign call per
 batch, game or stream and passes ``array`` buffers (a packed ``bytes``
-buffer for streams).
+buffer for streams).  A recorded game comes back as the numbers said, in
+order, which is what ``engine.Transcript`` holds.
 
 Only ``mirrorlab._core`` calls it, and it range-checks every value first, so
 nothing is checked here again.  The one error of its own is a stream element
@@ -17,10 +18,9 @@ import ctypes
 import struct
 from array import array
 
-from ..engine import COUNT_KEYS, MoveRecord, Player, Transcript
+from ..engine import COUNT_KEYS, Transcript
 
 _OUTCOMES = tuple(COUNT_KEYS)  # the kernel's outcome i is _OUTCOMES[i]
-_PLAYERS = (Player.ALICE, Player.BOB)
 _NOMEM = -1
 _MASK64 = 2**64 - 1
 
@@ -94,14 +94,14 @@ class Kernel:
             cap = cnt
 
     def play_game(self, config, acode, bcode, r, k, game_seed):
-        """One recorded game as an ``engine.Transcript``.
+        """One recorded game as an ``engine.Transcript`` of the numbers said.
 
         ``acode`` and ``bcode`` are the strategies' ``kernel_code``s; ``r``
         and ``k`` are rand-sqrt's backup count and endgame threshold (0
         otherwise).
         """
         n = config.n
-        cap = 3 * (n + 1)  # at most n + 1 moves, each of at least one number
+        cap = n + 1  # n fresh numbers, then at most one repeat
         rec = _zeros("i", cap)
         info = _zeros("q", 3)
         code = self._play_game(n, config.a, config.b, acode, bcode, r, k,
@@ -110,17 +110,8 @@ class Kernel:
         if code:
             _raise(code, "in a recorded game")
         outcome, losing, used = info
-        # records are (player, count, numbers...); one pass turns them into moves
-        flat = rec[:used].tolist()
-        moves = []
-        pos = 0
-        while pos < used:
-            end = pos + 2 + flat[pos + 1]
-            moves.append(MoveRecord(_PLAYERS[flat[pos]],
-                                    tuple(flat[pos + 2:end]), len(moves) + 1))
-            pos = end
-        return Transcript(config, moves, _OUTCOMES[outcome], losing or None,
-                          game_seed)
+        return Transcript(config, rec[:used].tolist(), _OUTCOMES[outcome],
+                          losing or None, game_seed)
 
     def play_batch(self, config, acode, bcode, r, k, master_seed, start,
                    trials) -> dict:

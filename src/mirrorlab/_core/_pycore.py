@@ -59,16 +59,13 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int):
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int) -> dict:
-    """Outcome counts of the seeded games, refereed without budget checks;
+    """Outcome counts of the seeded games, each played by ``play_game``;
     a faulty strategy's ``MalformedMove`` propagates."""
-    from ..engine import COUNT_KEYS, run_game
-    from ..strategies import make_players
+    from ..engine import COUNT_KEYS
 
     counts = dict.fromkeys(COUNT_KEYS.values(), 0)
     for i in range(trials):
-        game_seed = derive_seed(master_seed, start + i)
-        alice, bob = make_players(config, alice_spec, bob_spec, game_seed)
-        t = run_game(alice, bob, config, game_seed,
-                     check_budgets=False, record=False)
+        t = play_game(config, alice_spec, bob_spec,
+                      derive_seed(master_seed, start + i))
         counts[COUNT_KEYS[t.outcome]] += 1
     return counts

@@ -232,7 +232,7 @@ typedef struct {
     unsigned char *spent;
     int *movebuf;
     int losing, error;
-    /* transcript: (player 0=A 1=B, length, numbers...) per move */
+    /* transcript: every number said, in order (NULL: none kept) */
     int *rec;
     int64_t rec_cap, rec_len;
 } Arena;
@@ -479,12 +479,10 @@ static int arena_run(Arena *A, u64 game_seed)
             said_count++;
         }
         if (A->rec != NULL) {
-            if (A->rec_len + 2 + move_len > A->rec_cap) {
+            if (A->rec_len + move_len > A->rec_cap) {
                 A->error = ML_RECORD_FULL;
                 return 0;
             }
-            A->rec[A->rec_len++] = !alice_moving;
-            A->rec[A->rec_len++] = move_len;
             for (j = 0; j < move_len; j++)
                 A->rec[A->rec_len++] = movebuf[j];
         }
@@ -518,9 +516,10 @@ static int arena_run(Arena *A, u64 game_seed)
     return outcome;
 }
 
-/* One recorded game.  rec receives the moves as (player, length,
- * numbers...) records, at most rec_cap ints; 3(n+1) always suffices.
- * info = {outcome, losing number or 0, ints written to rec}. */
+/* One recorded game.  rec receives every number said, in order, at most
+ * rec_cap ints; n + 1 always suffices, as the first repeat ends the game.
+ * The quotas fix the cut into moves, so no per-move header is written.
+ * info = {outcome, losing number or 0, numbers written to rec}. */
 int ml_play_game(int n, int a, int b, int acode, int bcode, int r, int k,
                  u64 game_seed, int *rec, int64_t rec_cap, int64_t *info)
 {

@@ -23,6 +23,9 @@ from .stats import chi2_sf, chi2_stat
 from .strategies import make_strategy, sample_matching
 from .streamrec import InconsistentSketch, PowerSumSketch, recover_missing, select_prime
 
+# power sums recover-missing keeps past the k it recovers, to check its answer
+SPARE_SUMS = 1
+
 
 def _emit(report: dict) -> None:
     json.dump(report, sys.stdout, indent=2, sort_keys=False)
@@ -139,7 +142,7 @@ def _cmd_recover_missing(args) -> int:
             lines = fh.read().split()
     xs = [int(tok) for tok in lines]
     field = select_prime(args.n)
-    sketch = PowerSumSketch(field, args.k)
+    sketch = PowerSumSketch(field, args.k + SPARE_SUMS)
     sketch.ingest_stream(xs)
     try:
         missing = recover_missing(sketch, args.n, args.k)

@@ -16,10 +16,13 @@ Rules enforced here:
   fresh numbers remain than the quota the mover must still emit a full move
   and the forced repeat loses.  When the remaining fresh numbers exactly
   fill the move and all get said, both players win.
-* The game ends at the first repeat; the repeated number is the final
-  utterance of the recorded (truncated) move.
+* The game ends at the first repeat; the repeated number is the last
+  number said, and it cuts the last move short.
 * A "turn" is one player's move, numbered from 1; rounds pair turns
   (2k-1, 2k).
+
+A played game is recorded as the list of numbers said (``Transcript.said``);
+the quotas fix its cut into moves, which ``Transcript.moves`` makes on demand.
 """
 
 from __future__ import annotations
@@ -102,56 +105,84 @@ class MoveRecord:
     turn: int  # 1-based move index; round = (turn + 1) // 2
 
 
+def _move_format(player: str, count: int) -> str:
+    return '{"player":"%s","numbers":[%s]}' % (player, ",".join(["%d"] * count))
+
+
 @dataclass
 class Transcript:
-    """Full record of one played game."""
+    """One played game: ``said`` holds every number said, in order.  Moves
+    are Alice's ``a`` numbers, then Bob's ``b``, turn about; only the last
+    can be short, cut by the repeat that lost."""
 
     config: GameConfig
-    moves: list[MoveRecord]
+    said: list[int]
     outcome: Outcome
     losing_number: Optional[int] = None
     seed: Optional[int] = None
 
     @property
+    def moves(self) -> list[MoveRecord]:
+        """``said`` cut into moves."""
+        moves: list[MoveRecord] = []
+        pos = 0
+        while pos < len(self.said):
+            who, quota = ((Player.ALICE, self.config.a) if len(moves) % 2 == 0
+                          else (Player.BOB, self.config.b))
+            moves.append(MoveRecord(who, tuple(self.said[pos:pos + quota]),
+                                    len(moves) + 1))
+            pos += quota
+        return moves
+
+    @property
     def rounds(self) -> int:
-        return (len(self.moves) + 1) // 2
+        return -(-len(self.said) // (self.config.a + self.config.b))
 
     @property
     def utterances(self) -> int:
-        return sum(len(m.numbers) for m in self.moves)
+        return len(self.said)
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "config": {"n": self.config.n, "a": self.config.a, "b": self.config.b},
-            "moves": [
-                {"player": m.player.value, "numbers": list(m.numbers)}
-                for m in self.moves
-            ],
-            "outcome": self.outcome.value,
-        }
-        if self.losing_number is not None:
-            d["losing_number"] = self.losing_number
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The compact JSON line, formatted with one ``%`` over a repeated
+        per-round template and the partial last round's moves."""
+        cfg, said = self.config, self.said
+        a, b = cfg.a, cfg.b
+        rounds, cut = divmod(len(said), a + b)
+        fmt = [_move_format("A", a) + "," + _move_format("B", b)] * rounds
+        if cut:
+            fmt.append(_move_format("A", min(cut, a)))
+        if cut > a:
+            fmt.append(_move_format("B", cut - a))
+        line = ('{"config":{"n":%d,"a":%d,"b":%d},"moves":[%s],"outcome":"%s"'
+                % (cfg.n, a, b, ",".join(fmt) % tuple(said),
+                   self.outcome.value))
+        if self.losing_number is not None:
+            line += ',"losing_number":%d' % self.losing_number
+        if self.seed is not None:
+            line += ',"seed":%d' % self.seed
+        return line + "}"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Transcript":
+        """The transcript in a parsed JSON line.  ``ValueError`` when its
+        moves do not follow the cut: a player out of turn, or a move off its
+        quota that is not a short last move."""
         cfg = GameConfig(**d["config"])
-        moves = [
-            MoveRecord(Player(m["player"]), tuple(m["numbers"]), i + 1)
-            for i, m in enumerate(d["moves"])
-        ]
-        return cls(
-            config=cfg,
-            moves=moves,
-            outcome=Outcome(d["outcome"]),
-            losing_number=d.get("losing_number"),
-            seed=d.get("seed"),
-        )
+        moves = d["moves"]
+        said: list[int] = []
+        for i, m in enumerate(moves):
+            player, quota = ("A", cfg.a) if i % 2 == 0 else ("B", cfg.b)
+            if m["player"] != player:
+                raise ValueError(f"move {i + 1}: {m['player']!r} out of turn")
+            count = len(m["numbers"])
+            if count != quota and not (i == len(moves) - 1 and 0 < count < quota):
+                raise ValueError(f"move {i + 1}: {count} numbers, quota {quota}")
+            said.extend(m["numbers"])
+        return cls(cfg, said, Outcome(d["outcome"]), d.get("losing_number"),
+                   d.get("seed"))
 
     @classmethod
     def from_json(cls, s: str) -> "Transcript":
@@ -232,7 +263,6 @@ def run_game(
     seed: int,
     *,
     check_budgets: bool = True,
-    record: bool = True,
     on_state: Optional[StateHook] = None,
 ) -> Transcript:
     """Referee one game between two strategies.
@@ -251,9 +281,8 @@ def run_game(
     alice.reset(SplitMix64(derive_seed(seed, ALICE_STREAM)))
     bob.reset(SplitMix64(derive_seed(seed, BOB_STREAM)))
 
-    said = bytearray(n + 1)
-    said_count = 0
-    moves: list[MoveRecord] = []
+    seen = bytearray(n + 1)
+    said: list[int] = []
     outcome: Optional[Outcome] = None
     losing: Optional[int] = None
     turn = 0
@@ -266,26 +295,22 @@ def run_game(
         numbers = tuple(mover.emit(turn))
         if len(numbers) != mover.quota:
             raise MalformedMove(who, turn, f"emitted {len(numbers)} numbers")
-        uttered: list[int] = []
         for v in numbers:
             if not isinstance(v, int) or not 1 <= v <= n:
                 raise MalformedMove(who, turn, f"number {v!r} out of range")
-            uttered.append(v)
-            if said[v]:
+            said.append(v)
+            if seen[v]:
                 outcome = Outcome.ALICE_LOSES if alice_moving else Outcome.BOB_LOSES
                 losing = v
                 break
-            said[v] = 1
-            said_count += 1
-        if record:
-            moves.append(MoveRecord(who, tuple(uttered), turn))
+            seen[v] = 1
         if check_budgets:
             _check_budget(mover, who, turn)
         if on_state is not None:
             on_state(who, turn, mover)
         if outcome is not None:
             break
-        if said_count == n:
+        if len(said) == n:
             outcome = Outcome.BOTH_WIN
             break
 
@@ -296,45 +321,25 @@ def run_game(
         if on_state is not None:
             on_state(other_who, turn, other)
 
-    return Transcript(config=config, moves=moves, outcome=outcome,
+    return Transcript(config=config, said=said, outcome=outcome,
                       losing_number=losing, seed=seed)
 
 
 def replay(transcript: Transcript) -> bool:
-    """Re-check every transcript invariant against the recorded moves."""
+    """Re-check every transcript invariant against the numbers said."""
     cfg = transcript.config
-    n = cfg.n
-    said: set[int] = set()
-    repeat_at: Optional[tuple[int, int, int]] = None  # (move idx, pos, value)
-
-    for i, m in enumerate(transcript.moves):
-        expected = Player.ALICE if i % 2 == 0 else Player.BOB
-        if m.player is not expected or m.turn != i + 1:
-            return False
-        quota = cfg.a if expected is Player.ALICE else cfg.b
-        is_last = i == len(transcript.moves) - 1
-        if len(m.numbers) != quota and not (is_last and 1 <= len(m.numbers) <= quota):
-            return False
-        for j, v in enumerate(m.numbers):
-            if not 1 <= v <= n:
-                return False
-            if v in said:
-                if repeat_at is not None:
-                    return False  # play continued past a repeat
-                repeat_at = (i, j, v)
-            said.add(v)
-        if repeat_at is not None and repeat_at[0] == i:
-            # the repeat must be the final utterance of the final move
-            if not is_last or repeat_at[1] != len(m.numbers) - 1:
-                return False
-
-    if transcript.outcome is Outcome.BOTH_WIN:
-        return (repeat_at is None and said == set(range(1, n + 1))
-                and transcript.losing_number is None)
-    if repeat_at is None or transcript.losing_number != repeat_at[2]:
+    n, a, b = cfg.n, cfg.a, cfg.b
+    said = transcript.said
+    if not all(1 <= v <= n for v in said):
         return False
-    loser = Player.ALICE if repeat_at[0] % 2 == 0 else Player.BOB
-    expected_outcome = (
-        Outcome.ALICE_LOSES if loser is Player.ALICE else Outcome.BOB_LOSES
-    )
-    return transcript.outcome is expected_outcome
+    if transcript.outcome is Outcome.BOTH_WIN:
+        return (len(set(said)) == len(said) == n
+                and len(said) % (a + b) in (0, a)
+                and transcript.losing_number is None)
+    before = set(said[:-1])
+    if (len(before) != len(said) - 1 or said[-1] not in before
+            or transcript.losing_number != said[-1]):
+        return False
+    alice_said_it = (len(said) - 1) % (a + b) < a
+    return transcript.outcome is (Outcome.ALICE_LOSES if alice_said_it
+                                  else Outcome.BOB_LOSES)

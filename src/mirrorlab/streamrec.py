@@ -22,7 +22,7 @@ from . import _core
 
 
 class InconsistentSketch(Exception):
-    """Recovery produced the wrong number of roots; a precondition was broken
+    """Recovery produced the wrong roots; a precondition was broken
     (duplicate stream elements, wrong missing count, or a foreign sketch)."""
 
 
@@ -76,6 +76,7 @@ class PowerSumSketch:
                  sums: Sequence[int] | None = None, count: int = 0):
         if k < 0:
             raise ValueError("k must be non-negative")
+        _core.check_size("k", k)  # before a k-long list is built
         self.field = field
         self.k = k
         self.sums = list(sums) if sums is not None else [0] * k
@@ -114,10 +115,6 @@ class PowerSumSketch:
             sums=[(s + t) % q for s, t in zip(self.sums, other.sums)],
             count=self.count + other.count,
         )
-
-    def copy(self) -> "PowerSumSketch":
-        return PowerSumSketch(self.field, self.k, sums=self.sums,
-                              count=self.count)
 
     @property
     def serialized_bits(self) -> int:
@@ -161,7 +158,9 @@ def recover_missing(sketch: PowerSumSketch, n: int, k: int) -> list[int]:
 
     The sketch must track at least k sums and the stream must have held
     n-k distinct elements of 1..n; otherwise the root count comes out
-    wrong and ``InconsistentSketch`` is raised.
+    wrong, or the roots miss the sums past the k-th, and
+    ``InconsistentSketch`` is raised.  One spare sum catches a duplicate
+    standing for an absent number: k + 1 < q power sums fix k + 1 numbers.
     """
     if n != sketch.field.n:
         raise ValueError(f"sketch was built for n={sketch.field.n}, not {n}")
@@ -169,17 +168,19 @@ def recover_missing(sketch: PowerSumSketch, n: int, k: int) -> list[int]:
         raise ValueError("missing count must be non-negative")
     if k > sketch.k:
         raise ValueError(f"sketch tracks {sketch.k} sums, cannot recover {k}")
-    if k == 0:
-        return []
     q = sketch.field.q
-    full = _full_power_sums(n, k, q)
-    p_missing = [(full[i] - sketch.sums[i]) % q for i in range(k)]
-    e = elementary_from_power(p_missing, sketch.field)
-    roots = _core.poly_root_scan(e, n, q)
+    full = _full_power_sums(n, sketch.k, q)
+    p_missing = [(f - s) % q for f, s in zip(full, sketch.sums)]
+    e = elementary_from_power(p_missing[:k], sketch.field)
+    roots = _core.poly_root_scan(e, n, q) if k else []
     if len(roots) != k:
         raise InconsistentSketch(
             f"expected {k} roots, found {len(roots)}; sketch preconditions violated"
         )
+    for j, p in enumerate(p_missing[k:], start=k + 1):
+        if sum(pow(r, j, q) for r in roots) % q != p:
+            raise InconsistentSketch(f"the {k} roots miss power sum {j}; "
+                                     "sketch preconditions violated")
     return roots
 
 

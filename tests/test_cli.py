@@ -174,6 +174,15 @@ class TestRecoverMissing:
                          "--stream", str(stream)])
         assert rc == 1
 
+    def test_duplicate_for_absent_number_fails(self, monkeypatch, capsys):
+        # 4 is said twice, and both 2 and 6 are absent: one root (4) fits
+        # the first power sum, and the spare sum rules it out
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n3\n4\n4\n5\n7\n8\n9\n10\n"))
+        rc, out = run_cli(["recover-missing", "--n", "10", "--k", "1",
+                           "--stream", "-"])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSetfam:
     def _family_file(self, tmp_path, n, sets):
@@ -232,11 +241,11 @@ class TestMatchingTest:
 class TestKernelLimits:
     """Sizes past the kernel's int fail as bad input on both backends."""
 
-    def check_rejected(self, proc):
+    def check_rejected(self, proc, error="error: n=3000000000"):
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: n=3000000000")
+        assert len(lines) == 1 and lines[0].startswith(error)
 
     def test_montecarlo(self, pure_python):
         self.check_rejected(run_cli_process(
@@ -254,6 +263,13 @@ class TestKernelLimits:
         self.check_rejected(run_cli_process(
             ["recover-missing", "--n", "3000000000", "--k", "1",
              "--stream", "-"], stdin="1\n2\n", pure_python=pure_python))
+
+    def test_recover_missing_k(self, pure_python):
+        # rejected before the sketch builds its list of k + 1 sums (one spare)
+        self.check_rejected(run_cli_process(
+            ["recover-missing", "--n", "10", "--k", "3000000000",
+             "--stream", "-"], stdin="1\n2\n", pure_python=pure_python),
+            error="error: k=3000000001")
 
 
 class TestUsage:

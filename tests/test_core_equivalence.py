@@ -123,8 +123,7 @@ def test_rand_sqrt_endgame_and_give_up_at_n400(bob, games):
     cfg = GameConfig(400)
     for seed, entered_endgame, gave_up in games:
         alice, opponent = make_players(cfg, "rand-sqrt", bob, seed)
-        run_game(alice, opponent, cfg, seed, check_budgets=False,
-                 record=False)
+        run_game(alice, opponent, cfg, seed, check_budgets=False)
         assert (alice.entered_endgame, alice.gave_up) == (
             entered_endgame, gave_up), seed
         assert (_core.play_game(cfg, "rand-sqrt", bob, seed)

@@ -1,9 +1,11 @@
 """Referee rules, transcripts, memory accounting."""
 
 import json
+import random
 
 import pytest
 
+from mirrorlab import _core
 from mirrorlab.engine import (BitWriter, BudgetExceeded, GameConfig,
                               MalformedMove, Outcome, Player, Strategy,
                               Transcript, replay, run_game,
@@ -199,7 +201,7 @@ class TestReplay:
     def test_bothwin_with_missing_number_rejected(self):
         t = Transcript(
             config=GameConfig(4),
-            moves=[_mv("A", (1,), 1), _mv("B", (2,), 2), _mv("A", (4,), 3)],
+            said=[1, 2, 4],
             outcome=Outcome.BOTH_WIN,
         )
         assert not replay(t)
@@ -207,27 +209,48 @@ class TestReplay:
     def test_bothwin_with_repeat_rejected(self):
         t = Transcript(
             config=GameConfig(2),
-            moves=[_mv("A", (1,), 1), _mv("B", (1,), 2)],
+            said=[1, 1],
             outcome=Outcome.BOTH_WIN,
         )
         assert not replay(t)
 
+    def test_bothwin_ending_in_a_short_move_rejected(self):
+        # (2,1) on n=4: Alice's second move holds one fresh number and must
+        # repeat with the next, so the game cannot end complete after 4
+        t = Transcript(config=GameConfig(4, 2, 1), said=[1, 2, 3, 4],
+                       outcome=Outcome.BOTH_WIN)
+        assert not replay(t)
+        assert replay(Transcript(config=GameConfig(5, 2, 1),
+                                 said=[1, 2, 3, 4, 5],
+                                 outcome=Outcome.BOTH_WIN))
+
+    def test_play_past_a_repeat_rejected(self):
+        cfg = GameConfig(4)
+        assert replay(Transcript(config=cfg, said=[1, 2, 1],
+                                 outcome=Outcome.ALICE_LOSES, losing_number=1))
+        assert not replay(Transcript(config=cfg, said=[1, 1, 2],
+                                     outcome=Outcome.ALICE_LOSES,
+                                     losing_number=2))
+        assert not replay(Transcript(config=cfg, said=[1, 1, 2, 2],
+                                     outcome=Outcome.BOB_LOSES,
+                                     losing_number=2))
+
     def test_loss_bookkeeping_checked(self):
         good = Transcript(
             config=GameConfig(2),
-            moves=[_mv("A", (1,), 1), _mv("B", (1,), 2)],
+            said=[1, 1],
             outcome=Outcome.BOB_LOSES, losing_number=1,
         )
         assert replay(good)
         wrong_loser = Transcript(
             config=GameConfig(2),
-            moves=[_mv("A", (1,), 1), _mv("B", (1,), 2)],
+            said=[1, 1],
             outcome=Outcome.ALICE_LOSES, losing_number=1,
         )
         assert not replay(wrong_loser)
         wrong_number = Transcript(
             config=GameConfig(2),
-            moves=[_mv("A", (1,), 1), _mv("B", (1,), 2)],
+            said=[1, 1],
             outcome=Outcome.BOB_LOSES, losing_number=2,
         )
         assert not replay(wrong_number)
@@ -243,6 +266,76 @@ class TestReplay:
         assert d["seed"] == 5
 
 
-def _mv(player, numbers, turn):
-    from mirrorlab.engine import MoveRecord
-    return MoveRecord(Player(player), numbers, turn)
+# (a, b, n) shapes, each with games won and lost, on the kernel and not
+SHAPES = [(1, 1, 9), (1, 2, 10), (1, 3, 12), (2, 2, 16), (3, 2, 13),
+          (2, 3, 12)]
+
+
+def _games(a, b, n):
+    """Seeded games of the shape: random-unsaid and smallest-unsaid pairs
+    (mostly won), and scripted players that draw with replacement, so that
+    most games end in a repeat partway through a move."""
+    cfg = GameConfig(n, a, b)
+    games = [_core.play_game(cfg, alice, bob, seed)
+             for alice, bob in [("random-unsaid", "random-unsaid"),
+                                ("smallest-unsaid", "largest-unsaid")]
+             for seed in range(5)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        alice, bob = (ScriptedStrategy(
+            [[rng.randint(1, n) for _ in range(quota)] for _ in range(n)],
+            quota) for quota in (a, b))
+        games.append(run_game(alice, bob, cfg, seed, check_budgets=False))
+    return games
+
+
+def _reference_json(t):
+    d = {"config": {"n": t.config.n, "a": t.config.a, "b": t.config.b},
+         "moves": [{"player": m.player.value, "numbers": list(m.numbers)}
+                   for m in t.moves],
+         "outcome": t.outcome.value}
+    if t.losing_number is not None:
+        d["losing_number"] = t.losing_number
+    if t.seed is not None:
+        d["seed"] = t.seed
+    return json.dumps(d, separators=(",", ":"))
+
+
+class TestTranscriptJson:
+    @pytest.mark.parametrize("a,b,n", SHAPES)
+    def test_to_json_matches_per_move_reference(self, a, b, n):
+        games = _games(a, b, n)
+        for t in games:
+            assert t.to_json() == _reference_json(t)
+        outcomes = {t.outcome for t in games}
+        assert Outcome.BOTH_WIN in outcomes and len(outcomes) > 1
+        short = [t for t in games
+                 if len(t.moves[-1].numbers)
+                 < (a if t.moves[-1].player is Player.ALICE else b)]
+        assert short or (a, b) == (1, 1)
+        assert all(t.outcome is not Outcome.BOTH_WIN for t in short)
+
+    @pytest.mark.parametrize("a,b,n", SHAPES)
+    def test_from_json_round_trips(self, a, b, n):
+        for t in _games(a, b, n):
+            back = Transcript.from_json(t.to_json())
+            assert back == t
+            assert back.moves == t.moves and replay(back)
+
+    def test_from_json_rejects_moves_off_the_cut(self):
+        d = json.loads(run_game(SmallestUnsaid(6, 1), TupleMirrorBob(6, 2),
+                                GameConfig(6, 1, 2), seed=0).to_json())
+        assert Transcript.from_json_dict(d).said == [
+            v for m in d["moves"] for v in m["numbers"]]
+        swapped = json.loads(json.dumps(d))
+        swapped["moves"][1]["player"] = "A"
+        with pytest.raises(ValueError, match="out of turn"):
+            Transcript.from_json_dict(swapped)
+        short = json.loads(json.dumps(d))
+        short["moves"][1]["numbers"] = [6]
+        with pytest.raises(ValueError, match="quota"):
+            Transcript.from_json_dict(short)
+        long_last = json.loads(json.dumps(d))
+        long_last["moves"][-1]["numbers"].append(1)
+        with pytest.raises(ValueError, match="quota"):
+            Transcript.from_json_dict(long_last)

@@ -184,6 +184,33 @@ class TestRecoverMissing:
         with pytest.raises(InconsistentSketch):
             recover_missing(s, 6, 2)
 
+    def test_spare_sum_catches_a_duplicate_for_an_absent_number(self):
+        # with exactly k sums, 4 said twice in place of 2 and 6 passes as [4]
+        xs = [1, 3, 4, 4, 5, 7, 8, 9, 10]
+        f = select_prime(10)
+        s = PowerSumSketch(f, 1)
+        s.ingest_stream(xs)
+        assert recover_missing(s, 10, 1) == [4]
+        n = 200
+        f = select_prime(n)
+        for k in (1, 2, 3, 8):
+            for seed in range(10):
+                rng = SplitMix64(seed)
+                absent = set()
+                while len(absent) < k + 1:
+                    absent.add(1 + rng.randbelow(n))
+                xs = [v for v in range(1, n + 1) if v not in absent]
+                spare = PowerSumSketch(f, k + 1)
+                spare.ingest_stream(xs)
+                assert recover_missing(spare, n, k + 1) == sorted(absent)
+                spare.ingest(xs[rng.randbelow(len(xs))])
+                with pytest.raises(InconsistentSketch):
+                    recover_missing(spare, n, k)
+
+    def test_k_checked_before_the_sums_are_built(self):
+        with pytest.raises(ValueError, match="k=3000000000"):
+            PowerSumSketch(select_prime(10), 3_000_000_000)
+
     def test_too_few_sums(self):
         s = PowerSumSketch(select_prime(10), 2)
         with pytest.raises(ValueError):
