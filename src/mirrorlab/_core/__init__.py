@@ -17,7 +17,9 @@ build never makes the import fail.
 This module is the only way into either core.  Every public function here
 range-checks its inputs once, on both backends, before anything of size n
 is allocated: sizes past the kernel's integer limits, moduli past 2^32 and
-trial indices past 64 bits raise ``ValueError``.  The binding passes values
+trial indices past 64 bits raise ``ValueError``.  Each core checks the
+elements of a stream itself (the kernel in the pass that reduces them) and
+raises the same ``ValueError`` for one outside the range asked for.  The binding passes values
 on unchecked, and ctypes wraps an out-of-range int silently
 (``c_int(3_000_000_000)`` is negative).
 """
@@ -36,14 +38,14 @@ import tempfile
 from pathlib import Path
 
 from . import _pycore
+from ._pycore import INT64_MAX, INT64_MIN
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 _COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~0.5 s on a 2-CPU x86-64
 
 INT_MAX = 2**31 - 1
 MAX_SIZE = INT_MAX - 2      # a size n leaves room for the kernel's n + 2
-INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
-Q_LIMIT = 2**32             # moduli below this keep q^2 below 2^64
+Q_LIMIT = 2**32             # below this every field product fits 64 bits
 
 
 def _cache_dir() -> Path:
@@ -151,12 +153,16 @@ def check_config(config) -> None:
         check_size(name, getattr(config, name))
 
 
-def power_sums(xs, k: int, q: int) -> list[int]:
+def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
+               hi: int = INT64_MAX) -> list[int]:
+    """First k power sums of the stream modulo q.  ``ValueError`` for an
+    element outside lo..hi, by default the signed 64-bit integers."""
     check_size("k", k)
     check_modulus(q)
+    lo, hi = max(lo, INT64_MIN), min(hi, INT64_MAX)
     if HAVE_FAST:
-        return _fast.power_sums(xs, k, q)
-    return _pycore.power_sums(xs, k, q)
+        return _fast.power_sums(xs, k, q, lo, hi)
+    return _pycore.power_sums(xs, k, q, lo, hi)
 
 
 def full_power_sums(n: int, k: int, q: int) -> list[int]:

@@ -9,7 +9,8 @@ order, which is what ``engine.Transcript`` holds.
 
 Only ``mirrorlab._core`` calls it, and it range-checks every value first, so
 nothing is checked here again.  The one error of its own is a stream element
-that does not fit a signed 64-bit integer, which only packing it can tell.
+outside the range asked for: packing tells one that does not fit a signed
+64-bit integer, and the kernel the rest, in the pass that reduces them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import struct
 from array import array
 
 from ..engine import COUNT_KEYS, Transcript
+from ._pycore import INT64_MAX, INT64_MIN, stream_range_error
 
 _OUTCOMES = tuple(COUNT_KEYS)  # the kernel's outcome i is _OUTCOMES[i]
 _NOMEM = -1
@@ -29,7 +31,7 @@ _I, _I64, _U64, _P = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
 _GAME = [_I] * 7  # n, a, b, acode, bcode, r, k
 # every function kernel.c exports: name -> (restype, argtypes)
 FUNCTIONS = {
-    "ml_power_sums": (None, [_P, _I64, _I, _U64, _P]),
+    "ml_power_sums": (_I, [_P, _I64, _I, _U64, _I64, _I64, _P]),
     "ml_full_power_sums": (None, [_I, _I, _U64, _P]),
     "ml_root_scan": (_I, [_P, _I, _I, _U64, _P, _I]),
     "ml_play_game": (_I, _GAME + [_U64, _P, _I64, _P]),
@@ -63,17 +65,19 @@ class Kernel:
             fn.argtypes = argtypes
             setattr(self, "_" + name[3:], fn)
 
-    def power_sums(self, xs, k: int, q: int) -> list[int]:
-        """First k power sums of the integer stream, modulo q."""
+    def power_sums(self, xs, k: int, q: int, lo: int = INT64_MIN,
+                   hi: int = INT64_MAX) -> list[int]:
+        """First k power sums of the integer stream, modulo q; every element
+        must lie in lo..hi, a range within int64."""
         if not isinstance(xs, (list, tuple)):
             xs = list(xs)
         try:  # struct packs a list about twice as fast as array() does
             buf = struct.pack(f"{len(xs)}q", *xs)
         except struct.error:
-            raise ValueError("stream elements must be integers that fit a "
-                             "signed 64-bit integer") from None
+            raise stream_range_error(lo, hi) from None
         sums = _zeros("Q", max(k, 0))
-        self._power_sums(buf, len(xs), k, q, _addr(sums))
+        if self._power_sums(buf, len(xs), k, q, lo, hi, _addr(sums)):
+            raise stream_range_error(lo, hi)
         return sums.tolist()
 
     def full_power_sums(self, n: int, k: int, q: int) -> list[int]:

@@ -12,14 +12,31 @@ from __future__ import annotations
 from ..rng import derive_seed
 
 
-def power_sums(xs, k: int, q: int) -> list[int]:
-    """First k power sums of the stream, modulo q."""
-    sums = [0] * k
-    for x in xs:
-        acc = 1
-        for i in range(k):
-            acc = (acc * x) % q
-            sums[i] = (sums[i] + acc) % q
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def stream_range_error(lo: int, hi: int) -> ValueError:
+    """The error both cores raise for a stream element outside lo..hi."""
+    if (lo, hi) == (INT64_MIN, INT64_MAX):
+        return ValueError("stream elements must be integers that fit a "
+                          "signed 64-bit integer")
+    return ValueError(f"stream element outside {lo}..{hi}")
+
+
+def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
+               hi: int = INT64_MAX) -> list[int]:
+    """First k power sums of the stream, modulo q; every element must lie in
+    lo..hi.  Column-wise: one pass over the reduced stream per power."""
+    if not isinstance(xs, (list, tuple)):
+        xs = list(xs)
+    if xs and not (lo <= min(xs) and max(xs) <= hi):
+        raise stream_range_error(lo, hi)
+    base = [x % q for x in xs]
+    col, sums = base, []
+    for i in range(k):
+        if i:
+            col = [c * x % q for c, x in zip(col, base)]
+        sums.append(sum(col) % q)
     return sums
 
 

@@ -16,7 +16,8 @@
  * serve the stream-recovery functions only.
  *
  * mirrorlab._core has range-checked every size the binding passes: n, a, b,
- * r and k fit an int with room for n + 2, and q < 2^32 so q^2 < 2^64.
+ * r and k fit an int with room for n + 2, and 1 <= q < 2^32, the range in
+ * which the field kernels' Barrett reduction is exact (see there).
  *
  * Return codes: 0 success, ML_NOMEM when an allocation fails, and the
  * positive ML_* codes for a bad request.
@@ -31,6 +32,7 @@ enum {
     ML_NOMEM = -1,
     ML_BAD_CODE = 2,     /* a strategy code the game loop does not know */
     ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
+    ML_OUT_OF_RANGE = 4, /* a stream element outside the range asked for */
 };
 
 /* strategy codes; the class in mirrorlab.strategies named beside each code
@@ -88,40 +90,99 @@ static inline u64 randbelow(u64 *state, u64 k)
 }
 
 /* ------------------------------------------------------------------------
- * prime-field kernels */
+ * prime-field kernels
+ *
+ * No term takes a hardware division.  reduce() is Barrett reduction by the
+ * fixed q with m = UINT64_MAX / q: writing UINT64_MAX = m q + s (s < q),
+ * the estimate floor(a m / 2^64) undershoots a / q by less than 2 for every
+ * a < 2^64, so one conditional subtract leaves a mod q.  Every product here
+ * is below 2^64: a power chain multiplies two residues below q < 2^32, and
+ * a Horner step adds c < q to a residue times x <= n + 7 < 2^31 + 8.
+ *
+ * The chains run in independent lanes so that the multiply latencies
+ * overlap: the power sums take 4 stream elements per pass and the root scan
+ * 8 values of x.  A short last pass pads the power-sum lanes with 0, which
+ * adds nothing to any sum, and runs the root-scan lanes past n but reports
+ * only x <= n.  Power sums add raw terms (each below q) into the u64 sums
+ * and reduce them once per block of SUM_BLOCK elements, at most
+ * 2^28 (q - 1) < 2^60 per block. */
 
-/* sums[i] += x^(i+1) mod q for i < k; needs x * (q - 1) < 2^64 */
-static inline void ingest(u64 *sums, int k, u64 x, u64 q)
+/* a GCC and Clang extension on 64-bit targets; where cc lacks it, the build
+   fails and mirrorlab._core runs the Python core */
+typedef unsigned __int128 u128;
+
+#define SUM_BLOCK ((int64_t)1 << 28)  /* elements between reductions */
+
+/* a mod q for any a < 2^64, with m = UINT64_MAX / q */
+static inline u64 reduce(u64 a, u64 q, u64 m)
 {
-    u64 acc = 1;
+    u64 r = a - (u64)(((u128)a * m) >> 64) * q;
+    return r >= q ? r - q : r;
+}
+
+/* sums[i] += x[0]^(i+1) + ... + x[3]^(i+1), unreduced, for i < k; x[j] < q */
+static inline void ingest4(u64 *sums, int k, const u64 *x, u64 q, u64 m)
+{
+    u64 a0 = 1, a1 = 1, a2 = 1, a3 = 1;
     for (int i = 0; i < k; i++) {
-        acc = acc * x % q;
-        sums[i] = (sums[i] + acc) % q;
+        a0 = reduce(a0 * x[0], q, m);
+        a1 = reduce(a1 * x[1], q, m);
+        a2 = reduce(a2 * x[2], q, m);
+        a3 = reduce(a3 * x[3], q, m);
+        sums[i] += a0 + a1 + a2 + a3;
     }
 }
 
-/* first k power sums of xs[0..len) modulo q, into sums[0..k) */
-void ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q, u64 *sums)
+static void reduce_all(u64 *sums, int k, u64 q, u64 m)
 {
     for (int i = 0; i < k; i++)
+        sums[i] = reduce(sums[i], q, m);
+}
+
+/* First k power sums of xs[0..len) modulo q, into sums[0..k).  Returns
+ * ML_OUT_OF_RANGE, with sums unfinished, if an element is outside lo..hi. */
+int ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q,
+                  int64_t lo, int64_t hi, u64 *sums)
+{
+    const u64 m = UINT64_MAX / q;
+    for (int i = 0; i < k; i++)
         sums[i] = 0;
-    for (int64_t t = 0; t < len; t++) {
-        int64_t x = xs[t];
-        if ((u64)x >= q) { /* also every negative x */
-            x %= (int64_t)q;
-            x += x < 0 ? (int64_t)q : 0;
+    for (int64_t t = 0; t < len; t += 4) {
+        u64 x[4] = {0, 0, 0, 0};
+        for (int j = 0; j < 4 && t + j < len; j++) {
+            int64_t v = xs[t + j];
+            if (v < lo || v > hi)
+                return ML_OUT_OF_RANGE;
+            if (v >= 0) {
+                x[j] = reduce((u64)v, q, m);
+            } else { /* 0 - (u64)v is |v|, INT64_MIN included */
+                u64 r = reduce(0 - (u64)v, q, m);
+                x[j] = r ? q - r : 0;
+            }
         }
-        ingest(sums, k, (u64)x, q);
+        ingest4(sums, k, x, q, m);
+        if ((t + 4) % SUM_BLOCK == 0)
+            reduce_all(sums, k, q, m);
     }
+    reduce_all(sums, k, q, m);
+    return 0;
 }
 
 /* first k power sums of 1..n modulo q */
 void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
 {
+    const u64 m = UINT64_MAX / q;
     for (int i = 0; i < k; i++)
         sums[i] = 0;
-    for (int v = 1; v <= n; v++)
-        ingest(sums, k, (u64)v, q);
+    for (int64_t v = 1; v <= n; v += 4) {
+        u64 x[4] = {0, 0, 0, 0};
+        for (int j = 0; j < 4 && v + j <= n; j++)
+            x[j] = reduce((u64)(v + j), q, m);
+        ingest4(sums, k, x, q, m);
+        if ((v + 3) % SUM_BLOCK == 0)
+            reduce_all(sums, k, q, m);
+    }
+    reduce_all(sums, k, q, m);
 }
 
 /* Roots in 1..n of x^k + c[0] x^(k-1) + ... + c[k-1] over GF(q), with the
@@ -129,15 +190,19 @@ void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
  * how many there are. */
 int ml_root_scan(const u64 *c, int k, int n, u64 q, int *out, int cap)
 {
+    const u64 m = UINT64_MAX / q;
     int cnt = 0;
-    for (int x = 1; x <= n; x++) {
-        u64 val = 1;
+    for (int64_t base = 1; base <= n; base += 8) {
+        u64 val[8] = {1, 1, 1, 1, 1, 1, 1, 1};
         for (int j = 0; j < k; j++)
-            val = (val * (u64)x + c[j]) % q;
-        if (val == 0) {
-            if (cnt < cap)
-                out[cnt] = x;
-            cnt++;
+            for (int l = 0; l < 8; l++)
+                val[l] = reduce(val[l] * (u64)(base + l) + c[j], q, m);
+        for (int l = 0; l < 8 && base + l <= n; l++) {
+            if (val[l] == 0) {
+                if (cnt < cap)
+                    out[cnt] = (int)(base + l);
+                cnt++;
+            }
         }
     }
     return cnt;

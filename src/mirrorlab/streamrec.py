@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _core
@@ -96,12 +95,12 @@ class PowerSumSketch:
         self.count += 1
 
     def ingest_stream(self, xs: Iterable[int]) -> None:
-        """Bulk ingest through the fast core."""
-        xs = list(xs)
-        if xs and (min(xs) < 1 or max(xs) > self.field.n):
-            raise ValueError(f"stream element outside 1..{self.field.n}")
-        add = _core.power_sums(xs, self.k, self.field.q)
+        """Bulk ingest through the fast core, which range-checks every
+        element in the same pass (``ValueError`` outside 1..n)."""
+        if not isinstance(xs, (list, tuple)):
+            xs = list(xs)
         q = self.field.q
+        add = _core.power_sums(xs, self.k, q, 1, self.field.n)
         self.sums = [(s + d) % q for s, d in zip(self.sums, add)]
         self.count += len(xs)
 
@@ -143,9 +142,23 @@ def elementary_from_power(p: Sequence[int], field: PrimeField) -> list[int]:
     return e[1:]
 
 
-@lru_cache(maxsize=64)
+# (n, q) -> p1..pK of 1..n mod q for the largest K asked for so far; any
+# shorter p1..pk is a prefix of it.  Oldest pairs go first past the bound.
+_FULL_SUMS: dict[tuple[int, int], tuple[int, ...]] = {}
+_FULL_SUMS_PAIRS = 64
+
+
 def _full_power_sums(n: int, k: int, q: int) -> tuple[int, ...]:
-    return tuple(_core.full_power_sums(n, k, q))
+    key = (n, q)
+    sums = _FULL_SUMS.get(key, ())
+    if len(sums) < k:
+        # at least double, so asking for k = 1, 2, 3, ... costs O(log k) passes
+        sums = tuple(_core.full_power_sums(n, max(k, 2 * len(sums)), q))
+        _FULL_SUMS.pop(key, None)
+        if len(_FULL_SUMS) >= _FULL_SUMS_PAIRS:
+            del _FULL_SUMS[next(iter(_FULL_SUMS))]
+        _FULL_SUMS[key] = sums
+    return sums[:k]
 
 
 def full_power_sums(n: int, k: int, field: PrimeField) -> list[int]:

@@ -4,6 +4,8 @@ Transcript-level equality over many seeds is what licenses routing the big
 Monte Carlo batches through the compiled loop.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from mirrorlab import _core
 from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.strategies import make_players
-from mirrorlab.streamrec import select_prime
+from mirrorlab.streamrec import _is_prime, select_prime
 
 pytestmark = pytest.mark.skipif(
     not _core.HAVE_FAST, reason=f"no compiled core: {_core.FALLBACK_REASON}")
@@ -71,6 +73,54 @@ def test_explicit_roots_found_by_both():
     # polynomial with known roots {3, 5} over GF(7)
     for backend in (_fastcore, _pycore):
         assert backend.poly_root_scan([1, 1], 5, 7) == [3, 5]
+
+
+# The field kernels reduce by Barrett for every q in 1..2^32-1: the edges,
+# primes on both sides of 2^16, and the largest prime below 2^32.
+FIELD_MODULI = [1, 2, 3, 10007, 65521, 65537, 10**6 + 3, 2**31 - 1,
+                4294967291, 2**32 - 1]
+SUM_COUNTS = (0, 1, 2, 5, 33, 64, 65, 70)
+
+
+def _planted(roots, q):
+    """e1..ek of the roots mod q, so that the scanned polynomial is the
+    product of (x - r)."""
+    e = [1]
+    for r in roots:
+        e = [(a + r * b) % q for a, b in zip(e + [0], [0] + e)]
+    return e[1:]
+
+
+@pytest.mark.parametrize("q", FIELD_MODULI)
+def test_field_kernels_agree_on_every_lane_and_tail(q):
+    rng = random.Random(q)
+    pool = [1, 2, q - 1, q, q + 1, -1, -q, 2**62, -2**62, 2**63 - 1, -2**63]
+
+    def element():
+        return rng.choice(pool) if rng.random() < 0.5 else rng.randrange(
+            -2**63, 2**63)
+
+    # lengths 0..7 run every tail of the 4-wide pass, alone and after one
+    streams = [[element() for _ in range(length)] for length in range(12)]
+    streams.append([element() for _ in range(1001)])
+    for xs in streams:
+        for k in SUM_COUNTS:
+            assert (_fastcore.power_sums(xs, k, q)
+                    == _pycore.power_sums(xs, k, q)), (xs, k)
+    # n runs through every count of tail lanes in the 8-wide root scan
+    for n in [*range(18), 1001]:
+        for k in SUM_COUNTS:
+            assert (_fastcore.full_power_sums(n, k, q)
+                    == _pycore.full_power_sums(n, k, q)), (n, k)
+        for size in (0, 1, 3, 8, 65):
+            roots = sorted(rng.sample(range(1, n + 1), min(size, n)))
+            for e in (_planted(roots, q),
+                      [rng.randrange(-q, 2 * q) for _ in range(size)]):
+                got = _fastcore.poly_root_scan(e, n, q)
+                assert got == _pycore.poly_root_scan(e, n, q), (n, e)
+            if _is_prime(q) and q > n:
+                assert _fastcore.poly_root_scan(_planted(roots, q), n,
+                                                q) == roots
 
 
 def test_unknown_strategy_falls_back_to_python():

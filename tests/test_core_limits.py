@@ -6,6 +6,7 @@ import pytest
 from mirrorlab import _core
 from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig
+from mirrorlab.streamrec import PowerSumSketch, PrimeField
 
 TOO_BIG = 3_000_000_000  # wraps to a negative C int
 
@@ -63,3 +64,29 @@ def test_binding_checks_on_its_own():
         fast.power_sums([2**64], 1, 7)
     xs = [-3, 10, 2**62]
     assert fast.power_sums(xs, 3, 7) == _pycore.power_sums(xs, 3, 7)
+
+
+@pytest.mark.parametrize("force_python", [False, True],
+                         ids=["default-core", "pure-python"])
+def test_stream_elements_checked_the_same_on_both_cores(monkeypatch,
+                                                        force_python):
+    # each core checks the elements in its own pass over them
+    if force_python:
+        monkeypatch.setattr(_core, "HAVE_FAST", False)
+    for xs in ([2**64], [-2**63 - 1], [1, 2, 3, 4, 5, 2**64]):
+        with pytest.raises(ValueError,
+                           match="^stream elements must be integers that fit "
+                                 "a signed 64-bit integer$"):
+            _core.power_sums(xs, 1, 7)
+    edges = [-2**63, 2**63 - 1, 0, 5]
+    assert _core.power_sums(edges, 3, 7) == [
+        sum(pow(x, i, 7) for x in edges) % 7 for i in (1, 2, 3)]
+    for xs in ([0], [11], [2**64], [-2**63], [1, 2, 3, 4, 5, 6, 7, 8, 11]):
+        with pytest.raises(ValueError,
+                           match=r"^stream element outside 1\.\.10$"):
+            _core.power_sums(xs, 2, 11, 1, 10)
+        sketch = PowerSumSketch(PrimeField(11, 10), 2)
+        with pytest.raises(ValueError,
+                           match=r"^stream element outside 1\.\.10$"):
+            sketch.ingest_stream(iter(xs))
+        assert (sketch.sums, sketch.count) == ([0, 0], 0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorlab import _core, streamrec
 from mirrorlab.rng import SplitMix64
 from mirrorlab.streamrec import (InconsistentSketch, PowerSumSketch, PrimeField,
                                  elementary_from_power, full_power_sums,
@@ -225,6 +226,22 @@ class TestRecoverMissing:
         f = select_prime(100)
         direct = brute_power_sums(range(1, 101), 5, f.q)
         assert full_power_sums(100, 5, f) == direct
+
+    def test_full_power_sums_served_as_prefixes(self, monkeypatch):
+        # one cached tuple per (n, q), grown at least twofold when too short
+        monkeypatch.setattr(streamrec, "_FULL_SUMS", {})
+        asked = []
+        compute = _core.full_power_sums
+        monkeypatch.setattr(_core, "full_power_sums",
+                            lambda n, k, q: asked.append(k) or compute(n, k, q))
+        f = select_prime(97)
+        for k in (3, 1, 5, 9, 4, 0):
+            assert (full_power_sums(97, k, f)
+                    == brute_power_sums(range(1, 98), k, f.q)), k
+        assert asked == [3, 6, 12]
+        for n in range(2, 100):
+            full_power_sums(n, 1, select_prime(n))
+        assert len(streamrec._FULL_SUMS) == streamrec._FULL_SUMS_PAIRS
 
 
 class TestSqrtParams:
