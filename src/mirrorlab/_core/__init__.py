@@ -19,9 +19,9 @@ range-checks its inputs once, on both backends, before anything of size n
 is allocated: sizes past the kernel's integer limits, moduli past 2^32 and
 trial indices past 64 bits raise ``ValueError``.  Each core checks the
 elements of a stream itself (the kernel in the pass that reduces them) and
-raises the same ``ValueError`` for one outside the range asked for.  The binding passes values
-on unchecked, and ctypes wraps an out-of-range int silently
-(``c_int(3_000_000_000)`` is negative).
+raises the same ``ValueError`` for one that is not an int in the range asked
+for.  The binding passes values on unchecked, and ctypes wraps an
+out-of-range int silently (``c_int(3_000_000_000)`` is negative).
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ calls it, after range-checking every input.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from ..rng import derive_seed
 
 
@@ -16,7 +18,8 @@ INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
 def stream_range_error(lo: int, hi: int) -> ValueError:
-    """The error both cores raise for a stream element outside lo..hi."""
+    """The error both cores raise for a stream element that is not an int
+    in lo..hi."""
     if (lo, hi) == (INT64_MIN, INT64_MAX):
         return ValueError("stream elements must be integers that fit a "
                           "signed 64-bit integer")
@@ -25,11 +28,12 @@ def stream_range_error(lo: int, hi: int) -> ValueError:
 
 def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
                hi: int = INT64_MAX) -> list[int]:
-    """First k power sums of the stream, modulo q; every element must lie in
-    lo..hi.  Column-wise: one pass over the reduced stream per power."""
+    """First k power sums of the stream, modulo q; every element must be an
+    int in lo..hi.  Column-wise: one pass over the reduced stream per power."""
     if not isinstance(xs, (list, tuple)):
         xs = list(xs)
-    if xs and not (lo <= min(xs) and max(xs) <= hi):
+    if xs and not (all(map(isinstance, xs, repeat(int)))
+                   and lo <= min(xs) and max(xs) <= hi):
         raise stream_range_error(lo, hi)
     base = [x % q for x in xs]
     col, sums = base, []

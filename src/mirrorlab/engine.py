@@ -286,11 +286,13 @@ def run_game(
     outcome: Optional[Outcome] = None
     losing: Optional[int] = None
     turn = 0
+    # by turn parity: the mover, the outcome if it repeats, the other player
+    sides = ((bob, Player.BOB, Outcome.BOB_LOSES, alice, Player.ALICE),
+             (alice, Player.ALICE, Outcome.ALICE_LOSES, bob, Player.BOB))
 
     while outcome is None:
         turn += 1
-        alice_moving = turn % 2 == 1
-        mover, who = (alice, Player.ALICE) if alice_moving else (bob, Player.BOB)
+        mover, who, repeat_loses, other, other_who = sides[turn & 1]
 
         numbers = tuple(mover.emit(turn))
         if len(numbers) != mover.quota:
@@ -300,7 +302,7 @@ def run_game(
                 raise MalformedMove(who, turn, f"number {v!r} out of range")
             said.append(v)
             if seen[v]:
-                outcome = Outcome.ALICE_LOSES if alice_moving else Outcome.BOB_LOSES
+                outcome = repeat_loses
                 losing = v
                 break
             seen[v] = 1
@@ -314,7 +316,6 @@ def run_game(
             outcome = Outcome.BOTH_WIN
             break
 
-        other, other_who = (bob, Player.BOB) if alice_moving else (alice, Player.ALICE)
         other.observe(numbers, turn)
         if check_budgets:
             _check_budget(other, other_who, turn)

@@ -55,8 +55,8 @@ def montecarlo(spec: ExperimentSpec,
     handed to it.  Games run on the compiled game loop when both strategies
     are kernel-codable, recorded or not; ``backend`` in the report names
     the path this run took (``_core.route``).  No memory budget is checked
-    here on either path: ``memory_profile`` and the ``play`` command referee
-    with every budget checked.
+    here on either path: ``memory_profile`` measures every state against
+    its budget, and the ``play`` command referees with every budget checked.
     """
     cfg = spec.config
     backend, _ = _core.route(cfg, spec.alice, spec.bob)
@@ -92,10 +92,11 @@ def montecarlo(spec: ExperimentSpec,
 
 
 def _run_recorded(cfg: GameConfig, alice_spec: str, bob_spec: str,
-                  game_seed: int, *, on_state=None) -> Transcript:
-    """One game on the Python referee with every memory budget checked."""
+                  game_seed: int) -> Transcript:
+    """One game on the Python referee with every memory budget checked
+    (``BudgetExceeded`` on an overrun): the ``play`` command's referee."""
     alice, bob = make_players(cfg, alice_spec, bob_spec, game_seed)
-    return run_game(alice, bob, cfg, game_seed, on_state=on_state)
+    return run_game(alice, bob, cfg, game_seed)
 
 
 # --------------------------------------------------------------------------
@@ -228,38 +229,43 @@ def enumerate_occurring(alice: Strategy, config: GameConfig,
 
 def memory_profile(spec: ExperimentSpec) -> dict:
     """Per-turn maximum measured state bits for both players over seeded
-    games, against each strategy's declared budget."""
+    games, against each strategy's declared budget.
+
+    The meter is the one measurement of each transition: the games run
+    with no budget check of their own, so a state over its budget shows as
+    ``within_budget: false`` in the report instead of raising."""
     cfg = spec.config
-    per_turn: dict[Player, list[int]] = {Player.ALICE: [], Player.BOB: []}
-    overall = {Player.ALICE: 0, Player.BOB: 0}
-    budgets: dict[Player, int] = {}
+    alice_turns: list[int] = []
+    bob_turns: list[int] = []
+    ALICE = Player.ALICE
 
     def meter(player: Player, turn: int, strategy: Strategy):
         bits = strategy.state_bits()
-        arr = per_turn[player]
+        arr = alice_turns if player is ALICE else bob_turns
         while len(arr) < turn:
             arr.append(0)
-        arr[turn - 1] = max(arr[turn - 1], bits)
-        overall[player] = max(overall[player], bits)
-        budgets[player] = strategy.budget_bits
+        if bits > arr[turn - 1]:
+            arr[turn - 1] = bits
 
     for i in range(spec.trials):
-        _run_recorded(cfg, spec.alice, spec.bob,
-                      derive_seed(spec.master_seed, i), on_state=meter)
+        seed = derive_seed(spec.master_seed, i)
+        alice, bob = make_players(cfg, spec.alice, spec.bob, seed)
+        run_game(alice, bob, cfg, seed, check_budgets=False, on_state=meter)
 
-    def block(player: Player, name: str) -> dict:
+    def block(name: str, per_turn: list[int], budget: int) -> dict:
+        overall = max(per_turn, default=0)
         return {
             "strategy": name,
-            "per_turn_max_bits": per_turn[player],
-            "overall_max_bits": overall[player],
-            "budget_bits": budgets[player],
-            "within_budget": overall[player] <= budgets[player],
+            "per_turn_max_bits": per_turn,
+            "overall_max_bits": overall,
+            "budget_bits": budget,
+            "within_budget": overall <= budget,
         }
 
     return {
         "config": {"n": cfg.n, "a": cfg.a, "b": cfg.b},
         "trials": spec.trials,
         "master_seed": spec.master_seed,
-        "alice": block(Player.ALICE, spec.alice),
-        "bob": block(Player.BOB, spec.bob),
+        "alice": block(spec.alice, alice_turns, alice.budget_bits),
+        "bob": block(spec.bob, bob_turns, bob.budget_bits),
     }

@@ -77,7 +77,15 @@ def sample_matching(n: int, seed: int) -> MatchingOracle:
 # simple deterministic machines
 
 
-class ConstantStrategy(Strategy):
+class FixedWidthStrategy(Strategy):
+    """A machine whose canonical encoding has the same width in every state:
+    its declared budget, so measuring a state costs nothing."""
+
+    def state_bits(self):
+        return self.budget_bits
+
+
+class ConstantStrategy(FixedWidthStrategy):
     """Always says the same numbers; stateless (0 bits).  Test opponent."""
 
     def __init__(self, numbers: Iterable[int], quota: int = 1):
@@ -101,7 +109,7 @@ class ConstantStrategy(Strategy):
         return BitWriter()
 
 
-class ScriptedStrategy(Strategy):
+class ScriptedStrategy(FixedWidthStrategy):
     """Plays a fixed list of moves; state is the move counter."""
 
     def __init__(self, moves: Sequence[Sequence[int]], quota: int = 1):
@@ -128,7 +136,7 @@ class ScriptedStrategy(Strategy):
         return BitWriter().write(self._pos, self.budget_bits)
 
 
-class MirrorBob(Strategy):
+class MirrorBob(FixedWidthStrategy):
     """Replies n+1-x to Alice's x.  Never loses in the (1,1)-game, even n.
 
     State: the last number heard (values 0..n, 0 before the first move).
@@ -157,7 +165,7 @@ class MirrorBob(Strategy):
         return BitWriter().write(self._last, uint_bits(self.n))
 
 
-class OddMirrorAlice(Strategy):
+class OddMirrorAlice(FixedWidthStrategy):
     """Says n first, then mirrors Bob within 1..n-1 via y -> n-y.  Odd n."""
 
     kernel_code = 2
@@ -190,7 +198,7 @@ class OddMirrorAlice(Strategy):
                 .write(self._last, uint_bits(self.n)))
 
 
-class TupleMirrorBob(Strategy):
+class TupleMirrorBob(FixedWidthStrategy):
     """Completes the consecutive (b+1)-block containing Alice's number.
 
     For the (1,b)-game with (b+1) | n: blocks are {1..b+1}, {b+2..2b+2}, ...
@@ -229,39 +237,41 @@ class TupleMirrorBob(Strategy):
 # full-memory bitmap players
 
 
-class BitmapStrategy(Strategy):
+# bytes 0/1 -> ASCII binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class BitmapStrategy(FixedWidthStrategy):
     """Base for players that remember the whole said set.
 
     Canonical state: n-bit said bitmap plus the said counter, so the budget
-    is n + ceil(log2(n+1)) bits.  Subclasses choose the next numbers from
-    the bitmap; when no fresh number remains mid-move, the forced (losing)
-    filler is the smallest number not yet used within the current move.
+    is n + ceil(log2(n+1)) bits.  The said set is held as ``_said``, one
+    byte per number (``_said[v]`` is 1 once v was said), so marking and
+    testing a number cost O(1) and ``bytearray.find`` scans for the next
+    unsaid one.  Subclasses choose the next numbers from it; when no fresh
+    number remains mid-move, the forced (losing) filler is the smallest
+    number not yet used within the current move.
     """
 
     def __init__(self, n: int, quota: int, name: str):
         self.name = name
         self.n = n
         self.quota = quota
-        self._mask = 0
-        self._count = 0
         self.budget_bits = n + uint_bits(n)
+        self.reset()
 
     def reset(self, rng=None):
-        self._mask = 0
+        self._said = bytearray(self.n + 1)
         self._count = 0
 
     def _mark(self, v: int) -> None:
-        bit = 1 << (v - 1)
-        if not self._mask & bit:
-            self._mask |= bit
+        if not self._said[v]:
+            self._said[v] = 1
             self._count += 1
 
     def observe(self, numbers, turn):
         for v in numbers:
             self._mark(v)
-
-    def _is_said(self, v: int) -> bool:
-        return bool(self._mask >> (v - 1) & 1)
 
     def _filler(self, move: list[int]) -> int:
         p = 1
@@ -284,12 +294,11 @@ class BitmapStrategy(Strategy):
         return tuple(move)
 
     def encode_state(self):
+        # bit v-1 of the mask is set once v was said: said[n..1] as digits
+        mask = int(self._said[:0:-1].translate(_DIGITS), 2)
         return (BitWriter()
-                .write(self._mask, self.n)
+                .write(mask, self.n)
                 .write(self._count, uint_bits(self.n)))
-
-    def state_bits(self):
-        return self.budget_bits
 
 
 class SmallestUnsaid(BitmapStrategy):
@@ -299,18 +308,15 @@ class SmallestUnsaid(BitmapStrategy):
 
     def __init__(self, n: int, quota: int = 1, name: str = "smallest-unsaid"):
         super().__init__(n, quota, name)
-        self._cursor = 1
 
     def reset(self, rng=None):
         super().reset(rng)
         self._cursor = 1
 
     def _pick(self, move):
-        c = self._cursor
-        while c <= self.n and self._is_said(c):
-            c += 1
-        if c > self.n:
-            self._cursor = c
+        # said sets only grow, so the smallest unsaid number never decreases
+        c = self._said.find(0, self._cursor)
+        if c < 0:
             return None
         self._cursor = c + 1
         return c
@@ -323,18 +329,14 @@ class LargestUnsaid(BitmapStrategy):
 
     def __init__(self, n: int, quota: int = 1):
         super().__init__(n, quota, "largest-unsaid")
-        self._cursor = n
 
     def reset(self, rng=None):
         super().reset(rng)
         self._cursor = self.n
 
     def _pick(self, move):
-        c = self._cursor
-        while c >= 1 and self._is_said(c):
-            c -= 1
-        if c < 1:
-            self._cursor = c
+        c = self._said.rfind(0, 1, self._cursor + 1)
+        if c < 0:
             return None
         self._cursor = c - 1
         return c
@@ -354,8 +356,6 @@ class UniformRandomUnsaid(BitmapStrategy):
 
     def __init__(self, n: int, quota: int = 1):
         super().__init__(n, quota, "random-unsaid")
-        self._unsaid: list[int] = []
-        self._rng: Optional[SplitMix64] = None
 
     def reset(self, rng=None):
         super().reset(rng)
@@ -363,11 +363,9 @@ class UniformRandomUnsaid(BitmapStrategy):
         self._rng = rng
 
     def _mark(self, v):
-        if not self._is_said(v):
-            # keep the sorted unsaid view in lockstep with the bitmap
-            i = bisect.bisect_left(self._unsaid, v)
-            if i < len(self._unsaid) and self._unsaid[i] == v:
-                self._unsaid.pop(i)
+        if not self._said[v]:
+            # keep the sorted unsaid view in lockstep with the said set
+            del self._unsaid[bisect.bisect_left(self._unsaid, v)]
         super()._mark(v)
 
     def _pick(self, move):
@@ -376,9 +374,19 @@ class UniformRandomUnsaid(BitmapStrategy):
         return self._unsaid[self._rng.randbelow(len(self._unsaid))]
 
 
+def _first_unsaid(said: bytearray, numbers: tuple[int, ...], i: int) -> int:
+    """Index of the first unsaid entry of ``numbers`` from ``i`` on."""
+    while i < len(numbers) and said[numbers[i]]:
+        i += 1
+    return i
+
+
 class PreferSubset(BitmapStrategy):
     """Exhausts a target set T first (smallest unsaid in T), then plays
-    smallest-unsaid overall.  Forces T to be said within |T| of its moves."""
+    smallest-unsaid overall.  Forces T to be said within |T| of its moves.
+
+    Said sets only grow, so both picks move forward only: one cursor into
+    the sorted target and one over 1..n."""
 
     def __init__(self, n: int, quota: int, target: Iterable[int]):
         super().__init__(n, quota, "prefer-T")
@@ -386,43 +394,60 @@ class PreferSubset(BitmapStrategy):
         if any(not 1 <= v <= n for v in self.target):
             raise ValueError("target set must lie within 1..n")
 
+    def reset(self, rng=None):
+        super().reset(rng)
+        self._in_target = 0
+        self._cursor = 1
+
     def _pick(self, move):
-        for v in self.target:
-            if not self._is_said(v):
-                return v
-        for v in range(1, self.n + 1):
-            if not self._is_said(v):
-                return v
-        return None
+        t = self._in_target = _first_unsaid(self._said, self.target,
+                                            self._in_target)
+        if t < len(self.target):
+            return self.target[t]
+        c = self._said.find(0, self._cursor)
+        if c < 0:
+            return None
+        self._cursor = c
+        return c
 
 
 class AvoidSubset(BitmapStrategy):
     """Avoids a set D while possible: smallest unsaid outside D, switching
-    to the smallest unsaid inside D only when nothing else remains."""
+    to the smallest unsaid inside D only when nothing else remains.
+
+    Both picks move forward only, as in ``PreferSubset``: one cursor over
+    1..n outside D and one into D, sorted."""
 
     def __init__(self, n: int, quota: int, avoid: Iterable[int]):
         super().__init__(n, quota, "avoid-D")
         self.avoid = frozenset(avoid)
         if any(not 1 <= v <= n for v in self.avoid):
             raise ValueError("avoid set must lie within 1..n")
+        self._sorted_avoid = tuple(sorted(self.avoid))
+
+    def reset(self, rng=None):
+        super().reset(rng)
+        self._in_avoid = 0
+        self._cursor = 1
 
     def _pick(self, move):
-        fallback = None
-        for v in range(1, self.n + 1):
-            if self._is_said(v):
-                continue
-            if v not in self.avoid:
-                return v
-            if fallback is None:
-                fallback = v
-        return fallback
+        said = self._said
+        c = said.find(0, self._cursor)
+        while c in self.avoid:
+            c = said.find(0, c + 1)
+        if c > 0:
+            self._cursor = c
+            return c
+        d = self._in_avoid = _first_unsaid(said, self._sorted_avoid,
+                                           self._in_avoid)
+        return self._sorted_avoid[d] if d < len(self._sorted_avoid) else None
 
 
 # --------------------------------------------------------------------------
 # matching-oracle randomized players
 
 
-class RandLogAlice(Strategy):
+class RandLogAlice(FixedWidthStrategy):
     """Logarithmic-space gambler: open with a uniform x, then mirror Bob
     through the matching (reply M(y) to y).
 

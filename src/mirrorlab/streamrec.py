@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _core
@@ -89,9 +90,11 @@ class PowerSumSketch:
             raise ValueError(f"element {x} outside 1..{self.field.n}")
         q = self.field.q
         acc = 1
-        for i in range(self.k):
-            acc = (acc * x) % q
-            self.sums[i] = (self.sums[i] + acc) % q
+        sums = []
+        for s in self.sums:
+            acc = acc * x % q
+            sums.append((s + acc) % q)
+        self.sums = sums
         self.count += 1
 
     def ingest_stream(self, xs: Iterable[int]) -> None:
@@ -126,19 +129,22 @@ def elementary_from_power(p: Sequence[int], field: PrimeField) -> list[int]:
 
     Newton's identities over GF(q):  i*e_i = sum_{j=1..i} (-1)^(j-1) e_{i-j} p_j,
     with e0 = 1.  Valid only while every i in 1..k is invertible, i.e. k < q.
+    Each e_i is one sum of products over the sign-folded p and the e found
+    so far, reduced once; the inverses of 1..k come from the recurrence
+    1/i = -(q // i) * 1/(q mod i), which holds for a prime q.
     """
     k = len(p)
     q = field.q
     if k >= q:
         raise ValueError(f"k={k} >= q={q}: Newton recursion would divide by zero")
-    inv = [0] + [pow(i, q - 2, q) for i in range(1, k + 1)]
-    e = [1] + [0] * k
+    inv = [0, 1]
+    for i in range(2, k + 1):
+        inv.append(-(q // i) * inv[q % i] % q)
+    signed = [-v if j % 2 else v for j, v in enumerate(p)]
+    e = [1]
     for i in range(1, k + 1):
-        acc = 0
-        for j in range(1, i + 1):
-            term = (e[i - j] * p[j - 1]) % q
-            acc = (acc + term) if j % 2 == 1 else (acc - term)
-        e[i] = (acc % q) * inv[i] % q
+        # signed[j - 1] pairs with e[i - j] for j = 1..i
+        e.append(sum(map(mul, signed, reversed(e))) % q * inv[i] % q)
     return e[1:]
 
 

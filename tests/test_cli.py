@@ -149,6 +149,23 @@ class TestMemory:
         d = json.loads(out)
         assert d["alice"]["within_budget"] and d["bob"]["within_budget"]
 
+    def test_budget_overrun_reported(self, monkeypatch):
+        from mirrorlab.engine import BudgetExceeded
+        from mirrorlab.strategies import MirrorBob
+
+        monkeypatch.setattr(MirrorBob, "state_bits",
+                            lambda self: self.budget_bits + 1)
+        args = ["--n", "64", "--alice", "naive", "--bob", "mirror"]
+        rc, out = run_cli(["memory", *args, "--games", "2", "--seed", "0"])
+        assert rc == 1
+        d = json.loads(out)
+        assert d["alice"]["within_budget"]
+        assert not d["bob"]["within_budget"]
+        assert d["bob"]["overall_max_bits"] == d["bob"]["budget_bits"] + 1
+        # play referees with every budget checked
+        with pytest.raises(BudgetExceeded):
+            run_cli(["play", *args])
+
 
 class TestRecoverMissing:
     def test_from_file(self, tmp_path):

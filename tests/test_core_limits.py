@@ -73,7 +73,8 @@ def test_stream_elements_checked_the_same_on_both_cores(monkeypatch,
     # each core checks the elements in its own pass over them
     if force_python:
         monkeypatch.setattr(_core, "HAVE_FAST", False)
-    for xs in ([2**64], [-2**63 - 1], [1, 2, 3, 4, 5, 2**64]):
+    for xs in ([2**64], [-2**63 - 1], [1, 2, 3, 4, 5, 2**64], [1.5, 2],
+               [2, 3.0]):
         with pytest.raises(ValueError,
                            match="^stream elements must be integers that fit "
                                  "a signed 64-bit integer$"):
@@ -81,7 +82,8 @@ def test_stream_elements_checked_the_same_on_both_cores(monkeypatch,
     edges = [-2**63, 2**63 - 1, 0, 5]
     assert _core.power_sums(edges, 3, 7) == [
         sum(pow(x, i, 7) for x in edges) % 7 for i in (1, 2, 3)]
-    for xs in ([0], [11], [2**64], [-2**63], [1, 2, 3, 4, 5, 6, 7, 8, 11]):
+    for xs in ([0], [11], [2**64], [-2**63], [1, 2, 3, 4, 5, 6, 7, 8, 11],
+               [1.5, 2], [2, 3.0], [1, 2, 3, 4, 5, 6, 7, 8, 9.0]):
         with pytest.raises(ValueError,
                            match=r"^stream element outside 1\.\.10$"):
             _core.power_sums(xs, 2, 11, 1, 10)

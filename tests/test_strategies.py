@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorlab.engine import GameConfig, Outcome, run_game
-from mirrorlab.harness import exhaust_games
+from mirrorlab.engine import GameConfig, Outcome, run_game, uint_bits
+from mirrorlab.harness import enumerate_occurring, exhaust_games
 from mirrorlab.rng import SplitMix64, derive_seed
-from mirrorlab.strategies import (AvoidSubset, ConstantStrategy, LargestUnsaid,
+from mirrorlab.strategies import (_ALICE_ONLY, _BOB_ONLY, STRATEGY_NAMES,
+                                  AvoidSubset, BitmapStrategy,
+                                  ConstantStrategy, LargestUnsaid,
                                   MatchingOracle, MirrorBob, OddMirrorAlice,
                                   PreferSubset, RandLogAlice, RandSqrtAlice,
                                   SmallestUnsaid, TupleMirrorBob,
-                                  UniformRandomUnsaid, make_strategy,
-                                  parse_spec, sample_matching,
+                                  UniformRandomUnsaid, make_players,
+                                  make_strategy, parse_spec, sample_matching,
                                   spec_needs_matching)
 
 
@@ -350,6 +352,145 @@ class TestRegistry:
             assert s.quota == 1
         assert make_strategy("A", "odd-mirror", GameConfig(7)).quota == 1
         assert make_strategy("B", "tuple-mirror", GameConfig(6, 1, 2)).quota == 2
+
+
+def _track_said(strategy) -> set:
+    """The numbers ``strategy`` has said or heard, kept up to date by
+    wrapping its ``emit`` and ``observe``."""
+    known: set = set()
+    emit, observe = strategy.emit, strategy.observe
+
+    def tracked_emit(turn):
+        move = emit(turn)
+        known.update(move)
+        return move
+
+    def tracked_observe(numbers, turn):
+        observe(numbers, turn)
+        known.update(numbers)
+
+    strategy.emit, strategy.observe = tracked_emit, tracked_observe
+    return known
+
+
+BITMAP_SPECS = ["naive", "smallest-unsaid", "largest-unsaid", "random-unsaid",
+                "prefer-T:3,7,8", "avoid-D:1,2,5"]
+# (n, a, b, alice, bob): every registered strategy in every role it takes;
+# the (2,3) and (3,2) boards run out mid-move, so bitmap players fill
+FIXED_WIDTH_MATCHUPS = (
+    [(16, 1, 1, s, "mirror") for s in BITMAP_SPECS]
+    + [(15, 1, 1, "odd-mirror", s) for s in BITMAP_SPECS]
+    + [(12, 1, 2, s, "tuple-mirror") for s in BITMAP_SPECS]
+    + [(100, 1, 1, alice, s) for alice in ("rand-log", "rand-sqrt")
+       for s in BITMAP_SPECS]
+    + [(n, a, b, s, t) for n, a, b in ((13, 2, 3), (12, 3, 2), (14, 3, 2))
+       for s in BITMAP_SPECS for t in BITMAP_SPECS])
+
+
+class TestStateBitsMatchEncoding:
+    def test_every_registered_strategy_in_both_roles(self):
+        played = set()
+        filled = 0
+        for n, a, b, alice_spec, bob_spec in FIXED_WIDTH_MATCHUPS:
+            cfg = GameConfig(n, a, b)
+            for seed in range(3):
+                alice, bob = make_players(cfg, alice_spec, bob_spec, seed)
+                known = {alice: _track_said(alice), bob: _track_said(bob)}
+
+                def hook(player, turn, strategy):
+                    w = strategy.encode_state()
+                    assert strategy.state_bits() == w.nbits, (strategy.name,
+                                                              turn)
+                    if isinstance(strategy, BitmapStrategy):
+                        said = known[strategy]
+                        mask = sum(1 << (v - 1) for v in said)
+                        L = uint_bits(n)
+                        assert w.value == (mask << L) | len(said), (
+                            strategy.name, turn)
+
+                t = run_game(alice, bob, cfg, seed, check_budgets=False,
+                             on_state=hook)
+                filled += a > 1 and t.outcome is not Outcome.BOTH_WIN
+                played.add(("A", parse_spec(alice_spec)[0]))
+                played.add(("B", parse_spec(bob_spec)[0]))
+        assert played == ({("A", s) for s in STRATEGY_NAMES
+                           if s not in _BOB_ONLY}
+                          | {("B", s) for s in STRATEGY_NAMES
+                             if s not in _ALICE_ONLY})
+        # every game on a multi-number board ends in a forced filler
+        assert filled == 3 * 3 * len(BITMAP_SPECS) ** 2
+
+
+class _ScanPrefer(PreferSubset):
+    """``PreferSubset`` as first defined: every pick rescans T, then 1..n."""
+
+    def _pick(self, move):
+        for v in self.target:
+            if not self._said[v]:
+                return v
+        for v in range(1, self.n + 1):
+            if not self._said[v]:
+                return v
+        return None
+
+
+class _ScanAvoid(AvoidSubset):
+    """``AvoidSubset`` as first defined: every pick rescans 1..n."""
+
+    def _pick(self, move):
+        fallback = None
+        for v in range(1, self.n + 1):
+            if self._said[v]:
+                continue
+            if v not in self.avoid:
+                return v
+            if fallback is None:
+                fallback = v
+        return fallback
+
+
+SUBSET_CASES = [(PreferSubset, _ScanPrefer, (2, 5)),
+                (PreferSubset, _ScanPrefer, (1, 3, 4, 6)),
+                (AvoidSubset, _ScanAvoid, (1, 2)),
+                (AvoidSubset, _ScanAvoid, (2, 3, 5, 7))]
+
+
+class TestSubsetCursors:
+    @pytest.mark.parametrize("cursor_cls,scan_cls,numbers", SUBSET_CASES)
+    def test_games_match_the_scan(self, cursor_cls, scan_cls, numbers):
+        for n, a, b in ((8, 1, 1), (9, 1, 2), (11, 2, 3), (12, 3, 2),
+                        (14, 3, 2), (13, 2, 2)):
+            cfg = GameConfig(n, a, b)
+            for role in "AB":
+                quota, other = (a, b) if role == "A" else (b, a)
+                for seed in range(15):
+                    games = []
+                    for cls in (cursor_cls, scan_cls):
+                        fixed = cls(n, quota, numbers)
+                        opponent = UniformRandomUnsaid(n, other)
+                        players = ((fixed, opponent) if role == "A"
+                                   else (opponent, fixed))
+                        t = run_game(*players, cfg, seed)
+                        games.append((t.said, t.outcome))
+                    assert games[0] == games[1], (cfg, role, seed)
+
+    @pytest.mark.parametrize("cursor_cls,scan_cls,numbers", SUBSET_CASES)
+    def test_exhaustive_and_occurring_match_the_scan(self, cursor_cls,
+                                                     scan_cls, numbers):
+        # both deep-copy the player, cursors included, at every branch
+        for n, a, b in ((7, 1, 1), (8, 1, 1), (7, 2, 1), (8, 2, 3),
+                        (8, 3, 2)):
+            cfg = GameConfig(n, a, b)
+            for role in "AB":
+                quota = a if role == "A" else b
+                assert (exhaust_games(cursor_cls(n, quota, numbers), role, cfg)
+                        == exhaust_games(scan_cls(n, quota, numbers), role,
+                                         cfg)), (cfg, role)
+            for r in (1, 2):
+                if r * (a + b) <= n:
+                    fams = [enumerate_occurring(cls(n, a, numbers), cfg, r)
+                            .family.masks for cls in (cursor_cls, scan_cls)]
+                    assert sorted(fams[0]) == sorted(fams[1]), (cfg, r)
 
 
 def run_game_pair(alice, bob, cfg, seed=0):

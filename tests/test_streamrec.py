@@ -144,6 +144,25 @@ class TestNewton:
         p = brute_power_sums(xs, k, f.q)
         assert elementary_from_power(p, f) == brute_elementary(xs, k, f.q)
 
+    @pytest.mark.parametrize("n", [2, 10, 60, 173, 400, 10_000])
+    def test_matches_the_quadratic_recursion(self, n):
+        # any p1..pk, not only the power sums of a set: the textbook O(k^2)
+        # recursion with one pow per inverse gives the same e, bit for bit
+        f = select_prime(n)
+        q = f.q
+        rng = SplitMix64(n)
+        for k in (0, 1, 2, 33, 64, 173):
+            if k >= q:
+                continue
+            for _ in range(3):
+                p = [rng.randbelow(q) for _ in range(k)]
+                e = [1]
+                for i in range(1, k + 1):
+                    acc = sum((-1) ** (j - 1) * e[i - j] * p[j - 1]
+                              for j in range(1, i + 1))
+                    e.append(acc * pow(i, q - 2, q) % q)
+                assert elementary_from_power(p, f) == e[1:], (q, k)
+
 
 class TestRecoverMissing:
     def test_examples(self):
