@@ -75,7 +75,7 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int):
     from ..strategies import make_players
 
     alice, bob = make_players(config, alice_spec, bob_spec, game_seed)
-    return run_game(alice, bob, config, game_seed, check_budgets=False)
+    return run_game(alice, bob, config, game_seed, on_state=None)
 
 
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,

@@ -110,19 +110,19 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_occurring(args) -> int:
     cfg = _config(args)
     alice = make_strategy("A", args.alice, cfg)
-    occ = enumerate_occurring(alice, cfg, args.r)
+    family = enumerate_occurring(alice, cfg, args.r)
     p = cfg.a + cfg.b
-    covering = check_covering(occ.family, p, args.r)
+    covering = check_covering(family, p, args.r)
     bound = covering_lower_bound(cfg.n, p, args.r)
     _emit({
         "n": cfg.n, "a": cfg.a, "b": cfg.b, "alice": args.alice, "r": args.r,
-        "family": occ.family.to_json_dict(),
-        "size": len(occ.family),
+        "family": family.to_json_dict(),
+        "size": len(family),
         "covering": covering,
         "covering_p": p,
         "lower_bound": bound,
     })
-    return 0 if covering and len(occ.family) >= bound else 1
+    return 0 if covering and len(family) >= bound else 1
 
 
 def _cmd_memory(args) -> int:
@@ -204,17 +204,13 @@ def _cmd_setfam(args) -> int:
 def _cmd_matching_test(args) -> int:
     n = args.n
     report: dict = {"n": n, "samples": args.samples, "seed": args.seed}
-    involution_ok = True
     counts: dict[tuple, int] = {}
     for i in range(args.samples):
+        # MatchingOracle raises on a fixed point or a non-involution
         oracle = sample_matching(n, args.seed + i)
-        for x in range(1, n + 1):
-            m = oracle.table[x]
-            if m == x or oracle.table[m] != x:
-                involution_ok = False
         key = tuple(sorted(oracle.pairs()))
         counts[key] = counts.get(key, 0) + 1
-    report["involution_ok"] = involution_ok
+    report["involution_ok"] = True  # every sampled table was accepted
     report["distinct_matchings"] = len(counts)
     total = _double_factorial(n - 1)
     report["possible_matchings"] = total
@@ -228,9 +224,8 @@ def _cmd_matching_test(args) -> int:
         report["chi2_stat"] = stat
         report["chi2_p"] = p
         report["uniform_ok"] = p > 0.01
-    return_code = 0 if involution_ok and report.get("uniform_ok", True) else 1
     _emit(report)
-    return return_code
+    return 0 if report.get("uniform_ok", True) else 1
 
 
 def _double_factorial(m: int) -> int:

@@ -6,9 +6,10 @@ already said, by anyone, loses on the spot; if every number gets said with
 no repeat, both players win.
 
 Strategies are state machines with a declared bit budget.  The referee
-measures each strategy's state after every transition against that budget,
-using the strategy's canonical state encoding, so "low memory" is a checked
-contract rather than a comment.
+calls one hook on each strategy's state after every transition; the default
+hook measures that state against the budget, using the strategy's canonical
+state encoding, so "low memory" is a checked contract rather than a
+comment.
 
 Rules enforced here:
 
@@ -250,7 +251,9 @@ class Strategy:
 StateHook = Callable[[Player, int, Strategy], None]
 
 
-def _check_budget(strategy: Strategy, player: Player, turn: int) -> None:
+def _check_budget(player: Player, turn: int, strategy: Strategy) -> None:
+    """The default state hook: ``BudgetExceeded`` when the state outgrew
+    its declared budget."""
     bits = strategy.state_bits()
     if bits > strategy.budget_bits:
         raise BudgetExceeded(player, turn, bits, strategy.budget_bits)
@@ -262,15 +265,17 @@ def run_game(
     config: GameConfig,
     seed: int,
     *,
-    check_budgets: bool = True,
-    on_state: Optional[StateHook] = None,
+    on_state: Optional[StateHook] = _check_budget,
 ) -> Transcript:
     """Referee one game between two strategies.
 
     Both strategies are reset with tapes derived from ``seed`` (streams 1
-    and 2), so identical inputs replay identical games.  Raises
-    ``MalformedMove`` / ``BudgetExceeded`` on contract violations; rule
-    violations (repeats) are outcomes, not errors.
+    and 2), so identical inputs replay identical games.  ``on_state`` is
+    called as (player, turn, strategy) after every transition of either
+    strategy; the default checks the memory budget and raises
+    ``BudgetExceeded``, a meter can take its place, and ``None`` skips the
+    check.  Raises ``MalformedMove`` on a malformed move; rule violations
+    (repeats) are outcomes, not errors.
     """
     n = config.n
     if alice.quota != config.a:
@@ -306,8 +311,6 @@ def run_game(
                 losing = v
                 break
             seen[v] = 1
-        if check_budgets:
-            _check_budget(mover, who, turn)
         if on_state is not None:
             on_state(who, turn, mover)
         if outcome is not None:
@@ -317,8 +320,6 @@ def run_game(
             break
 
         other.observe(numbers, turn)
-        if check_budgets:
-            _check_budget(other, other_who, turn)
         if on_state is not None:
             on_state(other_who, turn, other)
 

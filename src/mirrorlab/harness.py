@@ -1,5 +1,5 @@
-"""Experiment machinery: seeded Monte Carlo runs, exhaustive game-tree
-verification, occurring-set enumeration, and memory profiling.
+"""Experiment machinery: seeded Monte Carlo runs, one exhaustive game-tree
+walk (never-lose verification, occurring sets), and memory profiling.
 
 All batch randomness derives from (master_seed, trial_index), so reports are
 reproducible and independent of execution order; trials can be re-run in any
@@ -12,7 +12,7 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import _core
 from .engine import (COUNT_KEYS, GameConfig, Player, Strategy, Transcript,
@@ -102,125 +102,85 @@ def _run_recorded(cfg: GameConfig, alice_spec: str, bob_spec: str,
 # --------------------------------------------------------------------------
 # exhaustive verification
 
+MAX_PATHS = 2_000_000  # opponent lines exhaust_games walks before it refuses
 
-def exhaust_games(fixed: Strategy, role: str, config: GameConfig,
-                  max_paths: int = 2_000_000) -> tuple[int, int]:
-    """Play the fixed deterministic strategy against every legal opponent
-    line; returns (games, losses_by_fixed_player).
 
-    The opponent branches over every fresh number choice (combinations for
-    multi-number quotas, ascending within a move); the fixed player's moves
-    are forced.  Loss means the fixed player repeated.
+def _lines(fixed: Strategy, role: str, config: GameConfig,
+           turns: int) -> Iterator[tuple[int, bool]]:
+    """Walk every legal opponent line against the fixed deterministic
+    strategy playing ``role``; yield (said mask, fixed player repeated)
+    where each line ends: at a repeat, on a full board, on an opponent with
+    too few fresh numbers for its quota, or after ``turns`` turns.
+
+    The opponent branches over every fresh number choice (ascending
+    combinations for multi-number quotas); the fixed player's moves are
+    forced.  Each branch plays on its own deep copy of the fixed player.
     """
     if fixed.randomized:
-        raise ValueError("exhaustive verification needs a deterministic strategy")
+        raise ValueError("exhaustive walks need a deterministic strategy")
     n = config.n
-    opp_quota = config.b if role == "A" else config.a
-    games = 0
-    losses = 0
+    full = (1 << n) - 1
+    fixed_parity, opp_quota = (1, config.b) if role == "A" else (0, config.a)
 
-    def unsaid(mask: int) -> list[int]:
-        return [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
-
-    def step(strat: Strategy, mask: int, count: int, turn: int):
-        nonlocal games, losses
-        if games > max_paths:
-            raise TooLarge("opponent tree too large")
-        fixed_moving = (turn % 2 == 1) == (role == "A")
-        if fixed_moving:
-            s2 = copy.deepcopy(strat)
-            numbers = s2.emit(turn)
-            m2, c2 = mask, count
-            for v in numbers:
-                if m2 >> (v - 1) & 1:
-                    games += 1
-                    losses += 1
+    def step(strat: Strategy, mask: int, turn: int):
+        if turn > turns or mask == full:
+            yield mask, False
+        elif turn % 2 == fixed_parity:
+            strat = copy.deepcopy(strat)
+            for v in strat.emit(turn):
+                if mask >> (v - 1) & 1:
+                    yield mask, True
                     return
-                m2 |= 1 << (v - 1)
-                c2 += 1
-            if c2 == n:
-                games += 1
-                return
-            step(s2, m2, c2, turn + 1)
+                mask |= 1 << (v - 1)
+            yield from step(strat, mask, turn + 1)
         else:
-            fresh = unsaid(mask)
+            fresh = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
             if len(fresh) < opp_quota:
-                # opponent is forced to repeat and loses; fixed player survives
-                games += 1
+                yield mask, False  # the opponent must repeat and loses
                 return
             for combo in combinations(fresh, opp_quota):
                 s2 = copy.deepcopy(strat)
                 s2.observe(combo, turn)
-                m2, c2 = mask, count
-                for v in combo:
-                    m2 |= 1 << (v - 1)
-                    c2 += 1
-                if c2 == n:
-                    games += 1
-                    continue
-                step(s2, m2, c2, turn + 1)
+                yield from step(s2, mask | sum(1 << (v - 1) for v in combo),
+                                turn + 1)
 
     fixed.reset(None)
-    step(fixed, 0, 0, 1)
+    yield from step(fixed, 0, 1)
+
+
+def exhaust_games(fixed: Strategy, role: str,
+                  config: GameConfig) -> tuple[int, int]:
+    """Play the fixed deterministic strategy against every legal opponent
+    line to the end of the game; returns (games, losses_by_fixed_player).
+    A loss means the fixed player repeated.  ``TooLarge`` past
+    ``MAX_PATHS`` lines."""
+    games = losses = 0
+    for _mask, repeated in _lines(fixed, role, config, config.n):
+        games += 1
+        if games > MAX_PATHS:
+            raise TooLarge("opponent tree too large")
+        losses += repeated
     return games, losses
 
 
-@dataclass
-class OccurringFamily:
-    """Said-sets reachable right after round r against a fixed first player."""
-
-    r: int
-    family: SetFamily
-
-
 def enumerate_occurring(alice: Strategy, config: GameConfig,
-                        r: int) -> OccurringFamily:
-    """All distinct said-sets immediately after turn 2r (r full rounds),
-    over every legal line of the second player, with the first player's
-    deterministic strategy fixed.
+                        r: int) -> SetFamily:
+    """All distinct said-sets right after turn 2r (r full rounds): the
+    masks of the game-tree walk cut at turn 2r against the first player's
+    fixed deterministic strategy, without the lines where she repeated.
 
     Every member has cardinality r*(a+b).  Multi-number opponent moves are
     enumerated as ascending combinations; the fixed strategies here react
     to the set said, not the order within a move.
     """
-    if alice.randomized:
-        raise ValueError("occurring-set enumeration needs a deterministic Alice")
-    cfg = config
-    n = cfg.n
-    if r < 1 or r * (cfg.a + cfg.b) > n:
+    n = config.n
+    if r < 1 or r * (config.a + config.b) > n:
         raise ValueError("r rounds must fit in the game")
-    if math.comb(n, r * cfg.b) > 200_000:
+    if math.comb(n, r * config.b) > 200_000:
         raise TooLarge("opponent move space too large to enumerate")
-
-    found: set[int] = set()
-
-    def step(strat: Strategy, mask: int, count: int, turn: int):
-        if turn > 2 * r:
-            found.add(mask)
-            return
-        if turn % 2 == 1:
-            s2 = copy.deepcopy(strat)
-            numbers = s2.emit(turn)
-            m2, c2 = mask, count
-            for v in numbers:
-                if m2 >> (v - 1) & 1:
-                    return  # Alice repeated; this line ends before round r
-                m2 |= 1 << (v - 1)
-                c2 += 1
-            step(s2, m2, c2, turn + 1)
-        else:
-            fresh = [v for v in range(1, n + 1) if not mask >> (v - 1) & 1]
-            for combo in combinations(fresh, cfg.b):
-                s2 = copy.deepcopy(strat)
-                s2.observe(combo, turn)
-                m2 = mask
-                for v in combo:
-                    m2 |= 1 << (v - 1)
-                step(s2, m2, count + cfg.b, turn + 1)
-
-    alice.reset(None)
-    step(alice, 0, 0, 1)
-    return OccurringFamily(r=r, family=SetFamily(n, sorted(found)))
+    found = {mask for mask, repeated in _lines(alice, "A", config, 2 * r)
+             if not repeated}
+    return SetFamily(n, sorted(found))
 
 
 # --------------------------------------------------------------------------
@@ -231,9 +191,10 @@ def memory_profile(spec: ExperimentSpec) -> dict:
     """Per-turn maximum measured state bits for both players over seeded
     games, against each strategy's declared budget.
 
-    The meter is the one measurement of each transition: the games run
-    with no budget check of their own, so a state over its budget shows as
-    ``within_budget: false`` in the report instead of raising."""
+    The meter is the referee's state hook in place of its budget check, so
+    it is the one measurement of each transition, and a state over its
+    budget shows as ``within_budget: false`` in the report instead of
+    raising."""
     cfg = spec.config
     alice_turns: list[int] = []
     bob_turns: list[int] = []
@@ -250,7 +211,7 @@ def memory_profile(spec: ExperimentSpec) -> dict:
     for i in range(spec.trials):
         seed = derive_seed(spec.master_seed, i)
         alice, bob = make_players(cfg, spec.alice, spec.bob, seed)
-        run_game(alice, bob, cfg, seed, check_budgets=False, on_state=meter)
+        run_game(alice, bob, cfg, seed, on_state=meter)
 
     def block(name: str, per_turn: list[int], budget: int) -> dict:
         overall = max(per_turn, default=0)

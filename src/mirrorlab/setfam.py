@@ -222,23 +222,24 @@ def _max_clique(vertices: list[int], compatible) -> int:
     return best
 
 
-def max_town_size(n: int, kind: TownKind, *, include_empty: bool = True,
-                  limit: int = EXHAUSTIVE_LIMIT) -> int:
+def max_town_size(n: int, kind: TownKind, *,
+                  include_empty: bool = True) -> int:
     """Exact maximum town size by exhaustive clique search over all eligible
-    subsets of 1..n.  Oracle-grade but exponential: refuses n > limit."""
-    if n > limit:
-        raise TooLarge(f"exhaustive search capped at n={limit}")
+    subsets of 1..n.  Oracle-grade but exponential: refuses
+    n > EXHAUSTIVE_LIMIT."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"exhaustive search capped at n={EXHAUSTIVE_LIMIT}")
     vertices = _eligible_masks(n, kind.set_parity, include_empty)
     ip = kind.intersection_parity.value
     return _max_clique(vertices, lambda u, v: (u & v).bit_count() % 2 == ip)
 
 
-def enumerate_towns(n: int, kind: TownKind, *, include_empty: bool = True,
-                    limit: int = EXHAUSTIVE_LIMIT) -> list[SetFamily]:
-    """Every non-empty town on 1..n of the given kind (clique enumeration)."""
-    if n > limit:
-        raise TooLarge(f"exhaustive enumeration capped at n={limit}")
-    vertices = _eligible_masks(n, kind.set_parity, include_empty)
+def enumerate_towns(n: int, kind: TownKind) -> list[SetFamily]:
+    """Every non-empty town on 1..n of the given kind (clique enumeration);
+    refuses n > EXHAUSTIVE_LIMIT."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}")
+    vertices = _eligible_masks(n, kind.set_parity, include_empty=True)
     ip = kind.intersection_parity.value
     out: list[SetFamily] = []
 

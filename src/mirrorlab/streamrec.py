@@ -86,7 +86,7 @@ class PowerSumSketch:
 
     def ingest(self, x: int) -> None:
         """Add one element; sums[i] += x^(i+1) mod q."""
-        if not 1 <= x <= self.field.n:
+        if not isinstance(x, int) or not 1 <= x <= self.field.n:
             raise ValueError(f"element {x} outside 1..{self.field.n}")
         q = self.field.q
         acc = 1

@@ -172,12 +172,12 @@ def test_criterion_07_eventown_sizes():
 def test_criterion_08_occurring_sets_cover():
     sizes = {}
     for r in (1, 2):
-        occ = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
-                                  GameConfig(8), r)
-        assert check_covering(occ.family, 2, r), f"r={r} not covering"
+        family = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
+                                     GameConfig(8), r)
+        assert check_covering(family, 2, r), f"r={r} not covering"
         bound = covering_lower_bound(8, 2, r)
-        assert len(occ.family) >= bound, f"r={r}: {len(occ.family)} < {bound}"
-        sizes[r] = (len(occ.family), bound)
+        assert len(family) >= bound, f"r={r}: {len(family)} < {bound}"
+        sizes[r] = (len(family), bound)
     report(8, "occurring families cover: " +
            ", ".join(f"r={r}: size {s} >= bound {b}" for r, (s, b) in sizes.items()))
 

@@ -141,6 +141,19 @@ class TestRunGame:
             run_game(SmallestUnsaid(16, 1), Hoarder(16), GameConfig(16), seed=0)
         assert exc.value.player is Player.BOB
 
+    def test_hook_replaces_the_budget_check(self):
+        # a meter, or None, takes the place of the default budget check
+        cfg = GameConfig(16)
+        t = run_game(SmallestUnsaid(16, 1), Hoarder(16), cfg, seed=0,
+                     on_state=None)
+        assert t.outcome is Outcome.BOTH_WIN
+        seen = []
+        run_game(SmallestUnsaid(16, 1), Hoarder(16), cfg, seed=0,
+                 on_state=lambda player, turn, s: seen.append((player, turn)))
+        assert seen[:3] == [(Player.ALICE, 1), (Player.BOB, 1),
+                            (Player.BOB, 2)]
+        assert len(seen) == 2 * 16 - 1
+
     def test_short_final_round_forced_repeat(self):
         # (2,1) on n=4: after round one 3 numbers are said; Alice must emit
         # two but only one fresh number remains
@@ -285,7 +298,7 @@ def _games(a, b, n):
         alice, bob = (ScriptedStrategy(
             [[rng.randint(1, n) for _ in range(quota)] for _ in range(n)],
             quota) for quota in (a, b))
-        games.append(run_game(alice, bob, cfg, seed, check_budgets=False))
+        games.append(run_game(alice, bob, cfg, seed, on_state=None))
     return games
 
 

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from mirrorlab import _core, strategies
+from mirrorlab import _core, harness, strategies
 from mirrorlab.engine import GameConfig, MalformedMove
 from mirrorlab.harness import (ExperimentSpec, enumerate_occurring,
                                exhaust_games, memory_profile, merge_counts,
                                montecarlo)
-from mirrorlab.setfam import check_covering, covering_lower_bound
-from mirrorlab.strategies import (ConstantStrategy, MirrorBob, SmallestUnsaid,
+from mirrorlab.setfam import TooLarge, check_covering, covering_lower_bound
+from mirrorlab.strategies import (AvoidSubset, ConstantStrategy, LargestUnsaid,
+                                  MirrorBob, OddMirrorAlice, PreferSubset,
+                                  SmallestUnsaid, TupleMirrorBob,
                                   UniformRandomUnsaid)
 
 
@@ -90,29 +92,60 @@ class TestExhaustGames:
         games, losses = exhaust_games(ConstantStrategy([1]), "B", GameConfig(2))
         assert games == 2 and losses == 1  # loses when Alice opened with 1
 
+    @pytest.mark.parametrize("fixed,role,cfg,expected", [
+        # (2,1) on n=7: after two rounds one number is left and Alice
+        # must repeat on every line
+        (SmallestUnsaid(7, 2), "A", GameConfig(7, 2, 1), (10, 10)),
+        (LargestUnsaid(7, 1), "B", GameConfig(7, 2, 1), (126, 0)),
+        (PreferSubset(6, 1, [2, 5]), "A", GameConfig(6, 1, 2), (10, 0)),
+        (AvoidSubset(7, 2, [1, 4]), "B", GameConfig(7, 1, 2), (28, 0)),
+        (OddMirrorAlice(7), "A", GameConfig(7), (48, 0)),
+        (TupleMirrorBob(8, 3), "B", GameConfig(8, 1, 3), (32, 0)),
+    ], ids=["smallest-A", "largest-B", "prefer-A", "avoid-B", "odd-mirror",
+            "tuple-mirror"])
+    def test_pinned_tree_sizes(self, fixed, role, cfg, expected):
+        assert exhaust_games(fixed, role, cfg) == expected
+
+    def test_refuses_a_tree_past_max_paths(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_PATHS", 383)
+        with pytest.raises(TooLarge):
+            exhaust_games(MirrorBob(8), "B", GameConfig(8))
+        monkeypatch.setattr(harness, "MAX_PATHS", 384)
+        assert exhaust_games(MirrorBob(8), "B", GameConfig(8)) == (384, 0)
+
 
 class TestEnumerateOccurring:
     def test_naive_round_one(self):
-        occ = enumerate_occurring(SmallestUnsaid(4, 1, name="naive"),
-                                  GameConfig(4), 1)
-        assert occ.family.sets() == [[1, 2], [1, 3], [1, 4]]
+        family = enumerate_occurring(SmallestUnsaid(4, 1, name="naive"),
+                                     GameConfig(4), 1)
+        assert family.sets() == [[1, 2], [1, 3], [1, 4]]
 
     def test_cardinalities(self):
-        occ = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
-                                  GameConfig(8), 2)
-        assert all(m.bit_count() == 4 for m in occ.family.masks)
+        family = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
+                                     GameConfig(8), 2)
+        assert all(m.bit_count() == 4 for m in family.masks)
 
     def test_covering_and_bound(self):
         for r in (1, 2):
-            occ = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
-                                      GameConfig(8), r)
-            assert check_covering(occ.family, 2, r)
-            assert len(occ.family) >= covering_lower_bound(8, 2, r)
+            family = enumerate_occurring(SmallestUnsaid(8, 1, name="naive"),
+                                         GameConfig(8), r)
+            assert check_covering(family, 2, r)
+            assert len(family) >= covering_lower_bound(8, 2, r)
 
     def test_one_b_game_cardinality(self):
-        occ = enumerate_occurring(SmallestUnsaid(6, 1, name="naive"),
-                                  GameConfig(6, 1, 2), 1)
-        assert all(m.bit_count() == 3 for m in occ.family.masks)
+        family = enumerate_occurring(SmallestUnsaid(6, 1, name="naive"),
+                                     GameConfig(6, 1, 2), 1)
+        assert all(m.bit_count() == 3 for m in family.masks)
+
+    def test_pinned_families(self):
+        family = enumerate_occurring(LargestUnsaid(7, 2), GameConfig(7, 2, 1),
+                                     2)
+        assert len(family) == 3
+        assert family.sets()[0] == [1, 2, 4, 5, 6, 7]
+        family = enumerate_occurring(PreferSubset(8, 1, [2, 5]), GameConfig(8),
+                                     3)
+        assert len(family) == 10
+        assert all({2, 5} <= set(s) for s in family.sets())
 
     def test_rejects_randomized_or_oversized(self):
         with pytest.raises(ValueError):

@@ -408,8 +408,7 @@ class TestStateBitsMatchEncoding:
                         assert w.value == (mask << L) | len(said), (
                             strategy.name, turn)
 
-                t = run_game(alice, bob, cfg, seed, check_budgets=False,
-                             on_state=hook)
+                t = run_game(alice, bob, cfg, seed, on_state=hook)
                 filled += a > 1 and t.outcome is not Outcome.BOTH_WIN
                 played.add(("A", parse_spec(alice_spec)[0]))
                 played.add(("B", parse_spec(bob_spec)[0]))
@@ -489,7 +488,7 @@ class TestSubsetCursors:
             for r in (1, 2):
                 if r * (a + b) <= n:
                     fams = [enumerate_occurring(cls(n, a, numbers), cfg, r)
-                            .family.masks for cls in (cursor_cls, scan_cls)]
+                            .masks for cls in (cursor_cls, scan_cls)]
                     assert sorted(fams[0]) == sorted(fams[1]), (cfg, r)
 
 

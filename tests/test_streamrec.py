@@ -64,6 +64,16 @@ class TestSketch:
         with pytest.raises(ValueError):
             s.ingest(11)
 
+    def test_rejects_a_number_that_is_not_an_int(self):
+        # the same error ingest_stream gives, and nothing summed
+        s = PowerSumSketch(select_prime(10), 2)
+        for x in (1.5, 2.0):
+            with pytest.raises(ValueError):
+                s.ingest(x)
+            with pytest.raises(ValueError):
+                PowerSumSketch(select_prime(10), 2).ingest_stream([x])
+        assert s.sums == [0, 0] and s.count == 0
+
     @given(st.lists(st.integers(1, 50), max_size=40), st.integers(0, 8))
     @settings(max_examples=80)
     def test_matches_brute_oracle(self, xs, k):
