@@ -26,15 +26,10 @@ out-of-range int silently (``c_int(3_000_000_000)`` is negative).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import os
-import shutil
-import signal
-import subprocess
-import sysconfig
-import tempfile
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 from . import _pycore
@@ -59,8 +54,15 @@ def _compile(target: Path) -> str | None:
 
     The compiler writes a temporary file in the cache directory that is then
     renamed over ``target``, so concurrent first imports cannot see a
-    half-written library.
+    half-written library.  What only a build needs is imported here, so a
+    process that loads a cached kernel never imports it.
     """
+    import contextlib
+    import shutil
+    import signal
+    import subprocess
+    import tempfile
+
     cc = shutil.which("cc")
     if cc is None:
         return "no C compiler: cc not found on PATH"
@@ -107,7 +109,8 @@ def _find_compiled():
     except OSError as exc:
         return None, f"no C source to compile: {exc}"
     # the interpreter's extension suffix names the platform and architecture
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    # (sysconfig's EXT_SUFFIX, without importing sysconfig)
+    suffix = EXTENSION_SUFFIXES[0]
     key = hashlib.sha256(source + suffix.encode()).hexdigest()[:16]
     target = _cache_dir() / f"kernel-{key}{suffix}"
     if not target.exists():

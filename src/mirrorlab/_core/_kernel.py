@@ -19,10 +19,8 @@ import ctypes
 import struct
 from array import array
 
-from ..engine import COUNT_KEYS, Transcript
 from ._pycore import INT64_MAX, INT64_MIN, stream_range_error
 
-_OUTCOMES = tuple(COUNT_KEYS)  # the kernel's outcome i is _OUTCOMES[i]
 _NOMEM = -1
 _MASK64 = 2**64 - 1
 
@@ -45,6 +43,21 @@ def _zeros(typecode: str, count: int) -> array:
 
 def _addr(buf: array) -> int:
     return buf.buffer_info()[0]
+
+
+# Bound from ``engine`` by the first game, so that a process that only
+# recovers missing numbers never imports the referee: the kernel's outcome i
+# is _OUTCOMES[i], counted under _COUNT_NAMES[i].
+_Transcript = _OUTCOMES = _COUNT_NAMES = None
+
+
+def _bind_engine() -> None:
+    global _Transcript, _OUTCOMES, _COUNT_NAMES
+    from ..engine import COUNT_KEYS, Transcript
+
+    _Transcript = Transcript
+    _OUTCOMES = tuple(COUNT_KEYS)
+    _COUNT_NAMES = tuple(COUNT_KEYS.values())
 
 
 def _raise(code: int, where: str):
@@ -113,9 +126,11 @@ class Kernel:
                                _addr(info))
         if code:
             _raise(code, "in a recorded game")
+        if _Transcript is None:
+            _bind_engine()
         outcome, losing, used = info
-        return Transcript(config, rec[:used].tolist(), _OUTCOMES[outcome],
-                          losing or None, game_seed)
+        return _Transcript(config, rec[:used].tolist(), _OUTCOMES[outcome],
+                           losing or None, game_seed)
 
     def play_batch(self, config, acode, bcode, r, k, master_seed, start,
                    trials) -> dict:
@@ -126,4 +141,6 @@ class Kernel:
                                 _addr(counts))
         if code:
             _raise(code, f"at trial {counts[3]}")
-        return dict(zip(COUNT_KEYS.values(), counts[:3]))
+        if _COUNT_NAMES is None:
+            _bind_engine()
+        return dict(zip(_COUNT_NAMES, counts[:3]))

@@ -11,17 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
 
 from . import _core
-from .engine import GameConfig
-from .harness import ExperimentSpec, enumerate_occurring, memory_profile, montecarlo
-from .setfam import (ModtownSpec, SetFamily, TownKind, check_covering,
-                     check_modtown, check_mv, check_town, covering_lower_bound,
-                     max_town_size, modtown_to_mv)
-from .stats import chi2_sf, chi2_stat
-from .strategies import make_strategy, sample_matching
-from .streamrec import InconsistentSketch, PowerSumSketch, recover_missing, select_prime
+
+# Each subcommand imports the modules it runs, so a process loads only those:
+# recover-missing and --backend need neither the referee nor the harness.
 
 # power sums recover-missing keeps past the k it recovers, to check its answer
 SPARE_SUMS = 1
@@ -37,7 +31,9 @@ def _emit_doc(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _config(args) -> GameConfig:
+def _config(args):
+    from .engine import GameConfig
+
     return GameConfig(n=args.n, a=args.a, b=args.b)
 
 
@@ -59,8 +55,11 @@ def _cmd_play(args) -> int:
     return 0
 
 
-def _load_spec(path: str, seed: int) -> ExperimentSpec:
+def _load_spec(path: str, seed: int):
     """The experiment in a JSON spec file; ValueError if it is malformed."""
+    from .engine import GameConfig
+    from .harness import ExperimentSpec
+
     with open(path) as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
@@ -85,6 +84,8 @@ def _load_spec(path: str, seed: int) -> ExperimentSpec:
 
 
 def _cmd_montecarlo(args) -> int:
+    from .harness import ExperimentSpec, montecarlo
+
     if args.spec:
         spec = _load_spec(args.spec, args.seed)
     else:
@@ -108,6 +109,10 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_occurring(args) -> int:
+    from .harness import enumerate_occurring
+    from .setfam import check_covering, covering_lower_bound
+    from .strategies import make_strategy
+
     cfg = _config(args)
     alice = make_strategy("A", args.alice, cfg)
     family = enumerate_occurring(alice, cfg, args.r)
@@ -126,6 +131,8 @@ def _cmd_occurring(args) -> int:
 
 
 def _cmd_memory(args) -> int:
+    from .harness import ExperimentSpec, memory_profile
+
     spec = ExperimentSpec(config=_config(args), alice=args.alice, bob=args.bob,
                           trials=args.games, master_seed=args.seed)
     report = memory_profile(spec)
@@ -135,6 +142,9 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_recover_missing(args) -> int:
+    from .streamrec import (InconsistentSketch, PowerSumSketch,
+                            recover_missing, select_prime)
+
     if args.stream == "-":
         lines = sys.stdin.read().split()
     else:
@@ -155,12 +165,16 @@ def _cmd_recover_missing(args) -> int:
     return 0
 
 
-def _load_family(path: str) -> SetFamily:
+def _load_family(path: str):
+    from .setfam import SetFamily
+
     with open(path) as fh:
         return SetFamily.from_json_dict(json.load(fh))
 
 
 def _parse_kind(spec: str):
+    from .setfam import ModtownSpec, TownKind
+
     if spec.startswith("modtown:"):
         vals = [int(v) for v in spec.split(":", 1)[1].split(",")]
         if len(vals) < 2:
@@ -170,6 +184,9 @@ def _parse_kind(spec: str):
 
 
 def _cmd_setfam(args) -> int:
+    from .setfam import (ModtownSpec, TownKind, check_modtown, check_mv,
+                         check_town, max_town_size, modtown_to_mv)
+
     if args.setfam_cmd == "check":
         family = _load_family(args.file)
         kind = _parse_kind(args.kind)
@@ -202,6 +219,9 @@ def _cmd_setfam(args) -> int:
 
 
 def _cmd_matching_test(args) -> int:
+    from .stats import chi2_sf, chi2_stat
+    from .strategies import sample_matching
+
     n = args.n
     report: dict = {"n": n, "samples": args.samples, "seed": args.seed}
     counts: dict[tuple, int] = {}
@@ -311,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_main(argv: Optional[Sequence[str]] = None) -> int:
+def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

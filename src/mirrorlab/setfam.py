@@ -93,13 +93,20 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        """``ValueError`` for an element that is not an int in 1..n, or one
+        repeated within a set."""
         masks = []
         for s in sets:
             m = 0
             for v in s:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"element {v!r} is not an integer")
                 if not 1 <= v <= n:
                     raise ValueError(f"element {v} outside 1..{n}")
-                m |= 1 << (v - 1)
+                bit = 1 << (v - 1)
+                if m & bit:
+                    raise ValueError(f"element {v} repeated within a set")
+                m |= bit
             masks.append(m)
         return cls(n, masks)
 
@@ -107,8 +114,19 @@ class SetFamily:
         return [mask_to_set(m) for m in self.masks]
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SetFamily":
-        return cls.from_sets(d["n"], d["sets"])
+    def from_json_dict(cls, d) -> "SetFamily":
+        """The family in ``{"n": int, "sets": [[int, ...], ...]}``;
+        ``ValueError`` for any other shape."""
+        if not isinstance(d, dict) or not {"n", "sets"} <= d.keys():
+            raise ValueError('a set family must be a JSON object with "n" '
+                             'and "sets"')
+        n, sets = d["n"], d["sets"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError('"n" must be a JSON integer')
+        if not (isinstance(sets, list)
+                and all(isinstance(s, list) for s in sets)):
+            raise ValueError('"sets" must be a JSON list of lists')
+        return cls.from_sets(n, sets)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "sets": self.sets()}
@@ -172,6 +190,8 @@ def frankl_wilson_bound(n: int, s: int) -> int:
 
 
 def _eligible_masks(n: int, set_parity: Parity, include_empty: bool) -> list[int]:
+    if n < 0:
+        raise ValueError(f"n={n}: the ground set size must be non-negative")
     masks = [m for m in range(1 << n) if m.bit_count() % 2 == set_parity.value]
     if not include_empty and set_parity is Parity.EVEN:
         masks.remove(0)

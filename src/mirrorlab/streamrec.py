@@ -14,9 +14,8 @@ Storage is k field elements plus a counter: O(k log n) bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from . import _core
 
@@ -39,18 +38,43 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimeField:
-    """Prime modulus q in (n, 2n], remembered together with its n."""
+    """Prime modulus q in (n, 2n], remembered together with its n.
 
-    q: int
-    n: int
+    Immutable, equal and hashed by (q, n).  A plain class rather than a
+    dataclass: ``dataclasses`` costs a recover-missing process ~11 ms to
+    import.
+    """
 
-    def __post_init__(self):
-        if not _is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-        if not self.n < self.q <= 2 * self.n:
-            raise ValueError(f"prime {self.q} outside ({self.n}, {2 * self.n}]")
+    __slots__ = ("q", "n")
+
+    def __init__(self, q: int, n: int):
+        if not _is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        if not n < q <= 2 * n:
+            raise ValueError(f"prime {q} outside ({n}, {2 * n}]")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PrimeField is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return self.__class__, (self.q, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.n) == (other.q, other.n)
+
+    def __hash__(self):
+        return hash((self.q, self.n))
+
+    def __repr__(self):
+        return f"PrimeField(q={self.q!r}, n={self.n!r})"
 
     @property
     def element_bits(self) -> int:

@@ -242,6 +242,30 @@ class TestSetfam:
         rc, _ = run_cli(["setfam", "mv-from-modtown", "--m", "2", "--file", f])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [
+        [[1, 2]], {"sets": [[1]]}, {"n": "3", "sets": [[1]]},
+        {"n": 3, "sets": [[1, "2"]]}, {"n": 3, "sets": 5},
+        {"n": 3, "sets": [[1, 1]]},
+    ], ids=["top-level-list", "no-n", "string-n", "string-element",
+            "sets-not-a-list", "repeated-element"])
+    @pytest.mark.parametrize("cmd", [["check", "--kind", "odd-even"],
+                                     ["mv-from-modtown", "--m", "2"]],
+                             ids=["check", "mv-from-modtown"])
+    def test_malformed_family_file(self, tmp_path, capsys, doc, cmd):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(doc))
+        rc, out = run_cli(["setfam", *cmd, "--file", str(p)])
+        assert (rc, out) == (2, "")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_search_max_negative_n(self, capsys):
+        rc, out = run_cli(["setfam", "search-max", "--n", "-1",
+                           "--kind", "odd-even"])
+        assert (rc, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=-1") and "non-negative" in err
+
 
 class TestMatchingTest:
     def test_small_run(self):

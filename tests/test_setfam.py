@@ -28,6 +28,32 @@ def oracle_check_town(sets, kind):
                for i, a in enumerate(fs) for b in fs[i + 1:])
 
 
+class TestFamilyInput:
+    def test_from_json_dict_round_trip(self):
+        d = {"n": 3, "sets": [[1, 2], [3]]}
+        assert SetFamily.from_json_dict(d).to_json_dict() == d
+
+    @pytest.mark.parametrize("doc,complaint", [
+        ([[1, 2]], "JSON object"),
+        ({"n": 3}, "JSON object"),
+        ({"n": "3", "sets": [[1]]}, '"n" must be a JSON integer'),
+        ({"n": True, "sets": [[1]]}, '"n" must be a JSON integer'),
+        ({"n": 3, "sets": 5}, '"sets" must be a JSON list of lists'),
+        ({"n": 3, "sets": [5]}, '"sets" must be a JSON list of lists'),
+        ({"n": 3, "sets": [[1.0]]}, "not an integer"),
+        ({"n": 3, "sets": [["1"]]}, "not an integer"),
+        ({"n": 3, "sets": [[1, 1]]}, "element 1 repeated within a set"),
+        ({"n": 3, "sets": [[4]]}, "outside 1..3"),
+    ])
+    def test_malformed_family_is_a_value_error(self, doc, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            SetFamily.from_json_dict(doc)
+
+    def test_repeated_element_is_not_folded(self):
+        with pytest.raises(ValueError, match="repeated"):
+            SetFamily.from_sets(3, [[2, 3, 2]])
+
+
 class TestCheckTown:
     def test_examples(self):
         assert check_town(family(3, [1], [2], [3]), ODD_EVEN)
@@ -139,6 +165,11 @@ class TestMaxTownSize:
                             == brute_max_town(n, kind, inc)), (n, kind, inc)
         for kind in (ODD_EVEN, EVEN_ODD):
             assert max_town_size(5, kind) == brute_max_town(5, kind)
+
+    def test_refuses_negative_n(self):
+        for search in (max_town_size, enumerate_towns):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                search(-1, ODD_EVEN)
 
     def test_refuses_large_n(self):
         with pytest.raises(TooLarge):

@@ -1,6 +1,8 @@
 """Power-sum sketches and missing-element recovery, against brute oracles."""
 
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import pytest
@@ -42,10 +44,30 @@ class TestSelectPrime:
         assert all(f.q % d for d in range(2, int(f.q ** 0.5) + 1))
 
     def test_field_validates(self):
-        with pytest.raises(ValueError):
-            PrimeField(9, 5)  # not prime
-        with pytest.raises(ValueError):
-            PrimeField(23, 5)  # outside (5, 10]
+        with pytest.raises(ValueError, match="9 is not prime"):
+            PrimeField(9, 5)
+        with pytest.raises(ValueError, match=r"prime 23 outside \(5, 10\]"):
+            PrimeField(23, 5)
+
+    def test_field_is_a_value(self):
+        f = PrimeField(11, 10)
+        assert f == PrimeField(q=11, n=10) == select_prime(10)
+        assert f != PrimeField(13, 10) and f != PrimeField(11, 6)
+        assert f != (11, 10)  # not a tuple
+        assert hash(f) == hash(PrimeField(11, 10))
+        assert len({f, PrimeField(11, 10), PrimeField(13, 10)}) == 2
+        assert repr(f) == "PrimeField(q=11, n=10)"
+        assert copy.deepcopy(f) == f
+        assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_field_is_immutable(self):
+        f = PrimeField(11, 10)
+        for attr in ("q", "n", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, attr, 13)
+        with pytest.raises(AttributeError):
+            del f.q
+        assert (f.q, f.n) == (11, 10)
 
 
 class TestSketch:
