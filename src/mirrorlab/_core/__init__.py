@@ -8,11 +8,11 @@ only speed differs (see ``benchmarks/bench_core.py``).
 
 On first import ``kernel.c`` is compiled with the system ``cc`` into a
 per-user cache (``$XDG_CACHE_HOME/mirrorlab``, default ``~/.cache/mirrorlab``)
-keyed by a hash of the source and the interpreter's extension suffix;
-later imports load the cached library.  When that fails, or
-``MIRRORLAB_PURE_PYTHON=1`` is set, the pure-Python core is used and
-``FALLBACK_REASON`` says why (it is ``None`` on the compiled core).  A failed
-build never makes the import fail.
+keyed by a CRC-32 of the source and the interpreter's extension suffix, and
+by the source's length; later imports load the cached library.  When that
+fails, or ``MIRRORLAB_PURE_PYTHON=1`` is set, the pure-Python core is used
+and ``FALLBACK_REASON`` says why (it is ``None`` on the compiled core).  A
+failed build never makes the import fail.
 
 This module is the only way into either core.  Every public function here
 range-checks its inputs once, on both backends, before anything of size n
@@ -27,15 +27,13 @@ out-of-range int silently (``c_int(3_000_000_000)`` is negative).
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
-from pathlib import Path
 
 from . import _pycore
-from ._pycore import INT64_MAX, INT64_MIN
+from ._pycore import INT64_MAX, INT64_MIN, is_prime
 
-_SOURCE = Path(__file__).with_name("kernel.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 _COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~0.5 s on a 2-CPU x86-64
 
 INT_MAX = 2**31 - 1
@@ -43,13 +41,13 @@ MAX_SIZE = INT_MAX - 2      # a size n leaves room for the kernel's n + 2
 Q_LIMIT = 2**32             # below this every field product fits 64 bits
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
-    return Path(base) / "mirrorlab"
+    return os.path.join(base, "mirrorlab")
 
 
-def _compile(target: Path) -> str | None:
+def _compile(target: str) -> str | None:
     """Build ``kernel.c`` into ``target``; return why it failed, or None.
 
     The compiler writes a temporary file in the cache directory that is then
@@ -66,13 +64,14 @@ def _compile(target: Path) -> str | None:
     cc = shutil.which("cc")
     if cc is None:
         return "no C compiler: cc not found on PATH"
+    cache = os.path.dirname(target)
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-")
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".build-")
         os.close(fd)
     except OSError as exc:
         return f"cache not writable: {exc}"
-    cmd = [cc, "-O3", "-shared", "-fPIC", str(_SOURCE), "-o", tmp]
+    cmd = [cc, "-O3", "-shared", "-fPIC", _SOURCE, "-o", tmp]
     try:
         # own process group, so a timeout kills the compiler's children too
         with subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
@@ -104,16 +103,19 @@ def _find_compiled():
     """(compiled kernel, None), or (None, why the fallback is used)."""
     if os.environ.get("MIRRORLAB_PURE_PYTHON"):
         return None, "forced by MIRRORLAB_PURE_PYTHON"
+    import zlib
+
     try:
-        source = _SOURCE.read_bytes()
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
     except OSError as exc:
         return None, f"no C source to compile: {exc}"
     # the interpreter's extension suffix names the platform and architecture
     # (sysconfig's EXT_SUFFIX, without importing sysconfig)
     suffix = EXTENSION_SUFFIXES[0]
-    key = hashlib.sha256(source + suffix.encode()).hexdigest()[:16]
-    target = _cache_dir() / f"kernel-{key}{suffix}"
-    if not target.exists():
+    key = f"{zlib.crc32(source + suffix.encode()):08x}{len(source):x}"
+    target = os.path.join(_cache_dir(), f"kernel-{key}{suffix}")
+    if not os.path.exists(target):
         error = _compile(target)
         if error is not None:
             return None, error
@@ -168,16 +170,35 @@ def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
     return _pycore.power_sums(xs, k, q, lo, hi)
 
 
+# (n, q) -> p1..pK of 1..n mod q for the largest K asked for so far; any
+# shorter p1..pk is a prefix of it.  Oldest pairs go first past the bound.
+_FULL_SUMS: dict[tuple[int, int], tuple[int, ...]] = {}
+_FULL_SUMS_PAIRS = 64
+
+
 def full_power_sums(n: int, k: int, q: int) -> list[int]:
+    """Power sums p1..pk of 1..n modulo q, from the one memo that the
+    recovery and the pure-Python ingest share."""
     check_size("n", n)
     check_size("k", k)
     check_modulus(q)
-    if HAVE_FAST:
-        return _fast.full_power_sums(n, k, q)
-    return _pycore.full_power_sums(n, k, q)
+    key = (n, q)
+    sums = _FULL_SUMS.get(key, ())
+    if len(sums) < k:
+        # at least double, so asking for k = 1, 2, 3, ... costs O(log k) passes
+        core = _fast if HAVE_FAST else _pycore
+        sums = tuple(core.full_power_sums(n, max(k, 2 * len(sums)), q))
+        _FULL_SUMS.pop(key, None)
+        if len(_FULL_SUMS) >= _FULL_SUMS_PAIRS:
+            del _FULL_SUMS[next(iter(_FULL_SUMS))]
+        _FULL_SUMS[key] = sums
+    return list(sums[:max(k, 0)])
 
 
 def poly_root_scan(e, n: int, q: int) -> list[int]:
+    """Roots in 1..n of x^k - e1*x^(k-1) + ... + (-1)^k ek over GF(q).  The
+    pure-Python core scans a prime q in (n, 2n] by one chirp-z product and
+    any other q row by row (see ``_pycore.poly_root_scan``)."""
     check_size("n", n)
     check_size("k", len(e))
     check_modulus(q)

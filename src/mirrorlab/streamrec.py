@@ -25,19 +25,6 @@ class InconsistentSketch(Exception):
     (duplicate stream elements, wrong missing count, or a foreign sketch)."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class PrimeField:
     """Prime modulus q in (n, 2n], remembered together with its n.
 
@@ -49,7 +36,7 @@ class PrimeField:
     __slots__ = ("q", "n")
 
     def __init__(self, q: int, n: int):
-        if not _is_prime(q):
+        if not _core.is_prime(q):
             raise ValueError(f"{q} is not prime")
         if not n < q <= 2 * n:
             raise ValueError(f"prime {q} outside ({n}, {2 * n}]")
@@ -86,7 +73,7 @@ def select_prime(n: int) -> PrimeField:
     if n < 2:
         raise ValueError("need n >= 2")
     m = n + 1
-    while not _is_prime(m):
+    while not _core.is_prime(m):
         m += 1
     return PrimeField(q=m, n=n)  # q <= 2n by Bertrand's postulate
 
@@ -172,36 +159,17 @@ def elementary_from_power(p: Sequence[int], field: PrimeField) -> list[int]:
     return e[1:]
 
 
-# (n, q) -> p1..pK of 1..n mod q for the largest K asked for so far; any
-# shorter p1..pk is a prefix of it.  Oldest pairs go first past the bound.
-_FULL_SUMS: dict[tuple[int, int], tuple[int, ...]] = {}
-_FULL_SUMS_PAIRS = 64
-
-
-def _full_power_sums(n: int, k: int, q: int) -> tuple[int, ...]:
-    key = (n, q)
-    sums = _FULL_SUMS.get(key, ())
-    if len(sums) < k:
-        # at least double, so asking for k = 1, 2, 3, ... costs O(log k) passes
-        sums = tuple(_core.full_power_sums(n, max(k, 2 * len(sums)), q))
-        _FULL_SUMS.pop(key, None)
-        if len(_FULL_SUMS) >= _FULL_SUMS_PAIRS:
-            del _FULL_SUMS[next(iter(_FULL_SUMS))]
-        _FULL_SUMS[key] = sums
-    return sums[:k]
-
-
 def full_power_sums(n: int, k: int, field: PrimeField) -> list[int]:
     """Power sums p1..pk of the complete range 1..n."""
-    return list(_full_power_sums(n, k, field.q))
+    return _core.full_power_sums(n, k, field.q)
 
 
 def recover_missing(sketch: PowerSumSketch, n: int, k: int) -> list[int]:
     """The k elements of 1..n absent from the sketched stream, ascending.
 
     The sketch must track at least k sums and the stream must have held
-    n-k distinct elements of 1..n; otherwise the root count comes out
-    wrong, or the roots miss the sums past the k-th, and
+    n-k distinct elements of 1..n; otherwise the count is not n-k, the root
+    count comes out wrong, or the roots miss the sums past the k-th, and
     ``InconsistentSketch`` is raised.  One spare sum catches a duplicate
     standing for an absent number: k + 1 < q power sums fix k + 1 numbers.
     """
@@ -212,7 +180,11 @@ def recover_missing(sketch: PowerSumSketch, n: int, k: int) -> list[int]:
     if k > sketch.k:
         raise ValueError(f"sketch tracks {sketch.k} sums, cannot recover {k}")
     q = sketch.field.q
-    full = _full_power_sums(n, sketch.k, q)
+    full = _core.full_power_sums(n, sketch.k, q)  # range-checks n first
+    if sketch.count != n - k:
+        raise InconsistentSketch(
+            f"sketch holds {sketch.count} numbers, not n - k = {n - k}; "
+            "sketch preconditions violated")
     p_missing = [(f - s) % q for f, s in zip(full, sketch.sums)]
     e = elementary_from_power(p_missing[:k], sketch.field)
     roots = _core.poly_root_scan(e, n, q) if k else []

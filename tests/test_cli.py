@@ -201,6 +201,21 @@ class TestRecoverMissing:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("stream,count", [
+        ("1\n3\n4\n5\n7\n8\n9\n10\n", 8),
+        ("1\n2\n3\n4\n5\n5\n7\n8\n9\n10\n", 10)],
+        ids=["one-short", "one-long"])
+    def test_stream_count_other_than_n_minus_k_fails(self, monkeypatch,
+                                                     capsys, stream, count):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+        rc, out = run_cli(["recover-missing", "--n", "10", "--k", "1",
+                           "--stream", "-"])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: sketch holds {count} numbers, not n - k = 9; "
+            "sketch preconditions violated\n")
+
+
 class TestSetfam:
     def _family_file(self, tmp_path, n, sets):
         p = tmp_path / "family.json"

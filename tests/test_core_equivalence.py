@@ -14,7 +14,7 @@ from mirrorlab import _core
 from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.strategies import make_players
-from mirrorlab.streamrec import _is_prime, select_prime
+from mirrorlab.streamrec import select_prime
 
 pytestmark = pytest.mark.skipif(
     not _core.HAVE_FAST, reason=f"no compiled core: {_core.FALLBACK_REASON}")
@@ -118,9 +118,29 @@ def test_field_kernels_agree_on_every_lane_and_tail(q):
                       [rng.randrange(-q, 2 * q) for _ in range(size)]):
                 got = _fastcore.poly_root_scan(e, n, q)
                 assert got == _pycore.poly_root_scan(e, n, q), (n, e)
-            if _is_prime(q) and q > n:
+            if _core.is_prime(q) and q > n:
                 assert _fastcore.poly_root_scan(_planted(roots, q), n,
                                                 q) == roots
+
+
+def test_python_deviation_ingest_and_chirp_scan_match_the_kernel():
+    # the recovery's calls: streams over 1..n with absent numbers and
+    # repeats, and roots scanned modulo select_prime(n)
+    rng = random.Random(16)
+    for n in range(2, 201):
+        q = select_prime(n).q
+        xs = [v for v in range(1, n + 1) if rng.random() < 0.9]
+        xs += rng.choices(range(1, n + 1), k=rng.randrange(4))
+        rng.shuffle(xs)
+        for k in (0, 1, 5, 33):
+            assert (_fastcore.power_sums(xs, k, q, 1, n)
+                    == _pycore.power_sums(xs, k, q, 1, n)), (n, xs, k)
+        for k in (1, 3, 9, q + 1):
+            roots = [rng.randint(1, n) for _ in range(k)]
+            for e in (_planted(roots, q),
+                      [rng.randrange(-q, 2 * q) for _ in range(k)]):
+                assert (_fastcore.poly_root_scan(e, n, q)
+                        == _pycore.poly_root_scan(e, n, q)), (n, e)
 
 
 def test_unknown_strategy_falls_back_to_python():

@@ -17,10 +17,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules that neither recover-missing nor --backend runs.  dataclasses,
 # subprocess and tempfile are loaded only by the referee, the harness or a
-# kernel build.
+# kernel build; the kernel cache is keyed without hashlib and found without
+# pathlib.
 NOT_LOADED = ["mirrorlab.engine", "mirrorlab.harness", "mirrorlab.strategies",
               "mirrorlab.setfam", "mirrorlab.stats", "dataclasses",
-              "subprocess", "tempfile"]
+              "subprocess", "tempfile", "hashlib", "pathlib"]
 
 # ``python -m mirrorlab.cli``, which then prints the loaded module names as
 # the last line of stderr.  -S keeps site out, so that only the modules the

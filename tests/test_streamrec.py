@@ -3,13 +3,15 @@
 import copy
 import math
 import pickle
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorlab import _core, streamrec
+from mirrorlab import _core
+from mirrorlab._core import INT64_MAX, INT64_MIN, _pycore
 from mirrorlab.rng import SplitMix64
 from mirrorlab.streamrec import (InconsistentSketch, PowerSumSketch, PrimeField,
                                  elementary_from_power, full_power_sums,
@@ -19,6 +21,14 @@ from mirrorlab.streamrec import (InconsistentSketch, PowerSumSketch, PrimeField,
 
 def brute_power_sums(xs, k, q):
     return [sum(pow(x, i, q) for x in xs) % q for i in range(1, k + 1)]
+
+
+def planted(roots, q):
+    """e1..ek of the roots mod q: the scanned polynomial is prod (x - r)."""
+    e = [1]
+    for r in roots:
+        e = [(a + r * b) % q for a, b in zip(e + [0], [0] + e)]
+    return e[1:]
 
 
 def brute_elementary(xs, k, q):
@@ -259,6 +269,21 @@ class TestRecoverMissing:
                 with pytest.raises(InconsistentSketch):
                     recover_missing(spare, n, k)
 
+    def test_count_must_be_n_minus_k(self):
+        # one short: 2 and 6 absent pass for one absent 8 = 2 + 6 on p1 alone
+        f = select_prime(10)
+        short = PowerSumSketch(f, 1)
+        short.ingest_stream([v for v in range(1, 11) if v not in (2, 6)])
+        with pytest.raises(InconsistentSketch,
+                           match="holds 8 numbers, not n - k = 9"):
+            recover_missing(short, 10, 1)
+        # one long: 3 and 7 absent, 5 said twice
+        over = PowerSumSketch(f, 3)
+        over.ingest_stream([v for v in range(1, 11) if v not in (3, 7)] + [5])
+        with pytest.raises(InconsistentSketch,
+                           match="holds 9 numbers, not n - k = 8"):
+            recover_missing(over, 10, 2)
+
     def test_k_checked_before_the_sums_are_built(self):
         with pytest.raises(ValueError, match="k=3000000000"):
             PowerSumSketch(select_prime(10), 3_000_000_000)
@@ -280,10 +305,11 @@ class TestRecoverMissing:
 
     def test_full_power_sums_served_as_prefixes(self, monkeypatch):
         # one cached tuple per (n, q), grown at least twofold when too short
-        monkeypatch.setattr(streamrec, "_FULL_SUMS", {})
+        monkeypatch.setattr(_core, "_FULL_SUMS", {})
         asked = []
-        compute = _core.full_power_sums
-        monkeypatch.setattr(_core, "full_power_sums",
+        core = _core._fast if _core.HAVE_FAST else _pycore
+        compute = core.full_power_sums
+        monkeypatch.setattr(core, "full_power_sums",
                             lambda n, k, q: asked.append(k) or compute(n, k, q))
         f = select_prime(97)
         for k in (3, 1, 5, 9, 4, 0):
@@ -292,7 +318,92 @@ class TestRecoverMissing:
         assert asked == [3, 6, 12]
         for n in range(2, 100):
             full_power_sums(n, 1, select_prime(n))
-        assert len(streamrec._FULL_SUMS) == streamrec._FULL_SUMS_PAIRS
+        assert len(_core._FULL_SUMS) == _core._FULL_SUMS_PAIRS
+
+
+class TestPurePythonFieldPaths:
+    """The pure-Python core's deviation ingest and chirp-z root scan, against
+    its column pass and Horner scan, on whichever core is loaded."""
+
+    def test_chirp_scan_matches_horner(self):
+        rng = random.Random(2)
+        for n in range(2, 201):
+            q = select_prime(n).q
+            ks = [0, 1, 2, 7, 20]
+            if n % 9 == 2:  # k >= q needs more than 2q chirp lanes
+                ks += [q - 1, q, q + 2, 2 * q + 1]
+            for k in ks:
+                roots = [rng.randint(1, n) for _ in range(k)]
+                for e in (planted(roots, q),
+                          [rng.randrange(-q, 2 * q) for _ in range(k)]):
+                    got = _pycore.poly_root_scan(e, n, q)
+                    assert got == _pycore._horner_scan(e, n, q), (n, e)
+                assert (_pycore.poly_root_scan(planted(roots, q), n, q)
+                        == sorted(set(roots))), (n, roots)
+        assert len(_pycore._CHIRPS) == _pycore._CHIRP_FIELDS
+
+    def test_scan_after_a_shorter_and_a_longer_chirp(self):
+        # the cached lanes grow for a higher degree and serve a lower one
+        served = {}
+        q, n = 10007, 10000
+        for k in (3, 40, 5, 200, 1):
+            roots = sorted(random.Random(k).sample(range(1, n + 1), k))
+            assert _pycore.poly_root_scan(planted(roots, q), n, q) == roots
+            served[k] = _pycore._CHIRPS[q][1]
+        assert served[3] >= 3 and served[200] >= 200
+        assert served[5] == served[40] and served[1] == served[200]
+
+    @given(st.lists(st.integers(1, 40), max_size=90), st.integers(0, 40),
+           st.integers(0, 9), st.sampled_from([1, 2, 12, 41, 43, 10007]))
+    @settings(max_examples=150)
+    def test_deviation_ingest_matches_column_pass(self, xs, extra, k, q):
+        # a range from max(xs) up to 40 past it: repeats, absent numbers and
+        # streams longer than their range, on either side of the 2x cut
+        n = max(xs, default=1) + extra
+        got = _pycore.power_sums(xs, k, q, 1, n)
+        assert got == _pycore.power_sums(xs, k, q) == brute_power_sums(xs, k, q)
+
+    @pytest.mark.parametrize("xs,n", [([], 1), ([], 5), ([1], 1), ([1, 1, 1], 1),
+                                      ([3, 1, 2] * 4, 3), ([5, 5, 1], 5)],
+                             ids=["empty-1", "empty-5", "one", "one-repeated",
+                                  "thrice-over", "repeats"])
+    def test_deviation_ingest_edge_streams(self, xs, n):
+        for q in (1, 2, 7, 10007):
+            for k in (0, 1, 4):
+                assert (_pycore.power_sums(xs, k, q, 1, n)
+                        == brute_power_sums(xs, k, q)), (q, k)
+
+    def test_bools_are_ints_and_floats_are_not(self):
+        for xs in ([True, 2, 3, True], [True] * 3 + [2] * 5):
+            as_ints = [int(x) for x in xs]
+            for lo, hi in ((1, 3), (INT64_MIN, INT64_MAX)):
+                assert (_pycore.power_sums(xs, 3, 7, lo, hi)
+                        == _pycore.power_sums(as_ints, 3, 7, lo, hi))
+        for xs in ([1.0, 2, 3], [1, 2, 3, 3, 2.0], [1.5]):
+            with pytest.raises(ValueError,
+                               match=r"^stream element outside 1\.\.3$"):
+                _pycore.power_sums(xs, 2, 7, 1, 3)
+            with pytest.raises(ValueError, match="^stream elements must be "
+                                                 "integers that fit"):
+                _pycore.power_sums(xs, 2, 7)
+
+    @pytest.mark.parametrize("k", [1, 32, 64])
+    def test_recovery_at_the_benchmark_size(self, k):
+        # n = 10^4 as perfbench recovers it, straight through the Python core
+        n = 10_000
+        field = select_prime(n)
+        q = field.q
+        rng = random.Random(k)
+        missing = sorted(rng.sample(range(1, n + 1), k))
+        gone = set(missing)
+        xs = [v for v in range(1, n + 1) if v not in gone]
+        rng.shuffle(xs)
+        sums = _pycore.power_sums(xs, k, q, 1, n)
+        assert sums == _pycore.power_sums(xs, k, q)
+        full = _pycore.full_power_sums(n, k, q)
+        e = elementary_from_power([(f - s) % q for f, s in zip(full, sums)],
+                                  field)
+        assert _pycore.poly_root_scan(e, n, q) == missing
 
 
 class TestSqrtParams:
