@@ -22,6 +22,10 @@ elements of a stream itself (the kernel in the pass that reduces them) and
 raises the same ``ValueError`` for one that is not an int in the range asked
 for.  The binding passes values on unchecked, and ctypes wraps an
 out-of-range int silently (``c_int(3_000_000_000)`` is negative).
+
+The packed power rows that ``PowerSumSketch.ingest`` adds (``power_row``)
+are pure Python on both backends; their memo sits beside that of the
+full-range power sums.
 """
 
 from __future__ import annotations
@@ -193,6 +197,74 @@ def full_power_sums(n: int, k: int, q: int) -> list[int]:
             del _FULL_SUMS[next(iter(_FULL_SUMS))]
         _FULL_SUMS[key] = sums
     return list(sums[:max(k, 0)])
+
+
+# (q, k) -> {x: power_row(x, k, q)}, each row stored on its first use.  The
+# tables are charged their lanes' bytes plus _ROW_ENTRY_BYTES a row for its
+# int, key and dict slot, and together hold at most _POWER_ROW_BYTES: a row
+# that needs room drops the oldest other tables, and one that would take its
+# own table past the bound is computed and not stored, so no size up to
+# MAX_SIZE allocates n*k lanes.  The rand-sqrt table at n = 400 (q = 401,
+# k = 173, 32-bit lanes) is ~0.3 MB.
+_POWER_ROWS: dict[tuple[int, int], dict[int, int]] = {}
+_POWER_ROW_BYTES = 2**21
+_ROW_ENTRY_BYTES = 100
+_power_row_bytes = 0  # charged to the rows in _POWER_ROWS
+
+
+def _lane_bytes(q: int) -> int:
+    """The width of a power row's lanes modulo q: 32 bits while q < 2^16,
+    else 64 bits, which every q < Q_LIMIT fits."""
+    return 4 if q < 2**16 else 8
+
+
+_LANE_TYPECODES = {4: "I", 8: "Q"}  # lane bytes -> array typecode
+
+
+def row_headroom(q: int) -> int:
+    """How many power rows modulo q add up without a lane overflowing."""
+    return (2**(8 * _lane_bytes(q)) - 1) // max(q - 1, 1)
+
+
+def power_row(x: int, k: int, q: int) -> int:
+    """x^1..x^k mod q packed into one int, the lowest power in the least
+    significant lane, 32 or 64 bits wide as ``_lane_bytes`` says.  Rows
+    of a sum add lane by lane while their count is within
+    ``row_headroom(q)``; ``row_lanes`` unpacks them."""
+    table = _POWER_ROWS.get((q, k))
+    row = None if table is None else table.get(x)
+    if row is None:
+        row = _new_power_row(x, k, q)
+    return row
+
+
+def _new_power_row(x: int, k: int, q: int) -> int:
+    global _power_row_bytes
+    check_size("k", k)
+    check_modulus(q)
+    row = _pycore.power_row(x, k, q, _LANE_TYPECODES[_lane_bytes(q)])
+    key, cost = (q, k), _row_bytes(q, k)
+    table = _POWER_ROWS.get(key, {})
+    if (len(table) + 1) * cost <= _POWER_ROW_BYTES:
+        for old in list(_POWER_ROWS):
+            if _power_row_bytes + cost <= _POWER_ROW_BYTES:
+                break
+            if old != key:
+                rows = len(_POWER_ROWS.pop(old))
+                _power_row_bytes -= rows * _row_bytes(*old)
+        _POWER_ROWS.setdefault(key, table)[x] = row
+        _power_row_bytes += cost
+    return row
+
+
+def _row_bytes(q: int, k: int) -> int:
+    return k * _lane_bytes(q) + _ROW_ENTRY_BYTES
+
+
+def row_lanes(row: int, k: int, q: int) -> list[int]:
+    """The k lanes of a power row, or of a sum of rows, least significant
+    first."""
+    return _pycore.unpack(row, k, _LANE_TYPECODES[_lane_bytes(q)]).tolist()
 
 
 def poly_root_scan(e, n: int, q: int) -> list[int]:

@@ -137,12 +137,33 @@ _CHIRP_FIELDS = 16
 _LANE = 8  # bytes
 
 
-def _pack(lanes) -> int:
-    """The int whose 64-bit lanes, least significant first, are ``lanes``."""
-    a = array("Q", lanes)
+def _pack(lanes, typecode: str = "Q") -> int:
+    """The int whose lanes of array ``typecode`` (64 bits by default), least
+    significant first, are ``lanes``."""
+    a = array(typecode, lanes)
     if sys.byteorder == "big":
         a.byteswap()
     return int.from_bytes(a, "little")
+
+
+def unpack(value: int, count: int, typecode: str) -> array:
+    """The ``count`` lanes of array ``typecode`` that ``value`` packs, least
+    significant first; the inverse of ``_pack``."""
+    a = array(typecode)
+    a.frombytes(value.to_bytes(count * a.itemsize, "little"))
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
+
+
+def power_row(x: int, k: int, q: int, typecode: str) -> int:
+    """x^1..x^k mod q packed into lanes of array ``typecode``, the lowest
+    power least significant, from k products."""
+    acc, powers = 1, []
+    for _ in range(k):
+        acc = acc * x % q
+        powers.append(acc)
+    return _pack(powers, typecode)
 
 
 def _chirp_lanes(q: int, k: int) -> tuple[int, int, int]:

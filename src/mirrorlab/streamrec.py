@@ -79,34 +79,63 @@ def select_prime(n: int) -> PrimeField:
 
 
 class PowerSumSketch:
-    """First k power sums of a streamed multiset, modulo the field prime."""
+    """First k power sums of a streamed multiset, modulo the field prime.
 
-    __slots__ = ("field", "k", "sums", "count")
+    ``ingest`` is one big-int add: the number's row of powers, packed into
+    lanes of one int (``_core.power_row``, memoized per field and k), goes
+    into an unreduced accumulator.  The accumulator is folded into the
+    reduced sums when ``sums`` is read and before its lanes could overflow
+    (``_core.row_headroom``).
+    """
+
+    __slots__ = ("field", "k", "count", "_sums", "_acc", "_room")
 
     def __init__(self, field: PrimeField, k: int,
                  sums: Sequence[int] | None = None, count: int = 0):
         if k < 0:
             raise ValueError("k must be non-negative")
         _core.check_size("k", k)  # before a k-long list is built
+        q = field.q
+        if sums is None:
+            sums = [0] * k
+        else:
+            sums = list(sums)
+            if len(sums) != k:
+                raise ValueError("sums length must equal k")
+            if not all(isinstance(s, int) and 0 <= s < q for s in sums):
+                raise ValueError(f"sums must be integers in 0..{q - 1}")
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"count {count!r} is not a non-negative integer")
         self.field = field
         self.k = k
-        self.sums = list(sums) if sums is not None else [0] * k
-        if len(self.sums) != k:
-            raise ValueError("sums length must equal k")
         self.count = count
+        self._sums = sums
+        self._acc = 0  # packed rows not yet folded into _sums
+        self._room = _core.row_headroom(q)  # rows _acc can take before a fold
+
+    @property
+    def sums(self) -> list[int]:
+        """The power sums p1..pk, each reduced into 0..q-1."""
+        if self._acc:
+            self._fold()
+        return list(self._sums)
+
+    def _fold(self) -> None:
+        q = self.field.q
+        lanes = _core.row_lanes(self._acc, self.k, q)
+        self._sums = [(s + a) % q for s, a in zip(self._sums, lanes)]
+        self._acc = 0
+        self._room = _core.row_headroom(q)
 
     def ingest(self, x: int) -> None:
         """Add one element; sums[i] += x^(i+1) mod q."""
         if not isinstance(x, int) or not 1 <= x <= self.field.n:
             raise ValueError(f"element {x} outside 1..{self.field.n}")
-        q = self.field.q
-        acc = 1
-        sums = []
-        for s in self.sums:
-            acc = acc * x % q
-            sums.append((s + acc) % q)
-        self.sums = sums
+        self._acc += _core.power_row(x, self.k, self.field.q)
         self.count += 1
+        self._room -= 1
+        if not self._room:
+            self._fold()
 
     def ingest_stream(self, xs: Iterable[int]) -> None:
         """Bulk ingest through the fast core, which range-checks every
@@ -115,7 +144,7 @@ class PowerSumSketch:
             xs = list(xs)
         q = self.field.q
         add = _core.power_sums(xs, self.k, q, 1, self.field.n)
-        self.sums = [(s + d) % q for s, d in zip(self.sums, add)]
+        self._sums = [(s + d) % q for s, d in zip(self._sums, add)]
         self.count += len(xs)
 
     def merge(self, other: "PowerSumSketch") -> "PowerSumSketch":

@@ -1,5 +1,7 @@
 """Strategy behavior: mirror plays, adversaries, matching-oracle players."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from mirrorlab.strategies import (_ALICE_ONLY, _BOB_ONLY, STRATEGY_NAMES,
                                   UniformRandomUnsaid, make_players,
                                   make_strategy, parse_spec, sample_matching,
                                   spec_needs_matching)
+from mirrorlab.streamrec import PowerSumSketch
 
 
 class TestMatchingOracle:
@@ -283,6 +286,49 @@ class TestRandSqrt:
         t = run_game(alice, bob, GameConfig(n), 5, on_state=hook)
         assert checked and max(checked) <= alice.budget_bits
         assert t.outcome is not None
+
+    # n = 400 adds, to seed 0, the give-up seed of each Bob in
+    # tests/test_core_equivalence.py
+    @pytest.mark.parametrize("n,bob,seeds", [
+        *[(n, bob, (0, 1)) for n in (16, 100)
+          for bob in ("smallest-unsaid", "largest-unsaid", "random-unsaid")],
+        (400, "smallest-unsaid", (0, 857202)),
+        (400, "largest-unsaid", (0, 568286)),
+        (400, "random-unsaid", (0, 470511)),
+    ])
+    def test_mirror_state_encodes_brute_power_sums(self, n, bob, seeds):
+        # at every mirror-phase transition the encoding is the one a sketch
+        # built from the numbers said so far, summed term by term, gives
+        cfg, checked = GameConfig(n), 0
+        for seed in seeds:
+            alice, opponent = make_players(cfg, "rand-sqrt", bob, seed)
+            q, k = alice.field.q, alice.k
+            said, brute = [], [0] * k
+
+            def recording(emit):
+                def wrapped(turn):
+                    numbers = emit(turn)
+                    said.extend(numbers)
+                    for x in numbers:
+                        for i in range(k):
+                            brute[i] = (brute[i] + pow(x, i + 1, q)) % q
+                    return numbers
+                return wrapped
+
+            def hook(player, turn, strategy):
+                nonlocal checked
+                if strategy is alice and not alice.entered_endgame:
+                    ref = copy.copy(alice)
+                    ref._sketch = PowerSumSketch(alice.field, k, sums=brute,
+                                                 count=len(said))
+                    got, want = alice.encode_state(), ref.encode_state()
+                    assert (got.value, got.nbits) == (want.value, want.nbits)
+                    checked += 1
+
+            alice.emit = recording(alice.emit)
+            opponent.emit = recording(opponent.emit)
+            run_game(alice, opponent, cfg, seed, on_state=hook)
+        assert checked
 
     def test_tiny_n_degenerates_to_recovery(self):
         # n=16: k=16, so the sum phase ends right after the opening move

@@ -4,7 +4,9 @@ import copy
 import math
 import pickle
 import random
+from contextlib import nullcontext
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from mirrorlab import _core
 from mirrorlab._core import INT64_MAX, INT64_MIN, _pycore
+from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.rng import SplitMix64
+from mirrorlab.strategies import make_players
 from mirrorlab.streamrec import (InconsistentSketch, PowerSumSketch, PrimeField,
                                  elementary_from_power, full_power_sums,
                                  recover_missing, select_prime,
@@ -157,6 +161,140 @@ class TestSketch:
         s = PowerSumSketch(f, 20)
         assert s.serialized_bits == 20 * (f.q - 1).bit_length() + (1000).bit_length()
         assert s.serialized_bits <= 20 * math.ceil(math.log2(f.q)) + math.ceil(math.log2(1001))
+
+
+# q = 53 packs a sketch's rows into 32-bit lanes, q = 70001 > 2^16 into
+# 64-bit lanes.
+LANE_SIZES = [50, 70_000]
+
+
+def _sketch_ops(n):
+    """Interleaved sketch operations over numbers of 1..n, the ends often."""
+    element = st.one_of(st.sampled_from([1, n]), st.integers(1, n))
+    return st.lists(st.one_of(
+        st.tuples(st.just("ingest"), element),
+        st.tuples(st.just("read"), st.none()),
+        st.tuples(st.just("stream"), st.lists(element, max_size=6)),
+        st.tuples(st.just("merge"), st.lists(element, max_size=6)),
+    ), max_size=30)
+
+
+class TestPackedSketch:
+    """``ingest`` adds packed rows of powers to an unreduced accumulator,
+    folded into the reduced sums on a read and at the lanes' headroom."""
+
+    def test_constructor_rejects_bad_state(self):
+        f = select_prime(10)  # q = 11
+        for sums in ([50, -3], [11, 0], [0, -1], [1.5, 2]):
+            with pytest.raises(ValueError, match=r"integers in 0\.\.10"):
+                PowerSumSketch(f, 2, sums=sums)
+        for count in (-1, 1.5):
+            with pytest.raises(ValueError, match="count"):
+                PowerSumSketch(f, 2, count=count)
+        s = PowerSumSketch(f, 2, sums=[10, 0], count=3)
+        assert (s.sums, s.count) == ([10, 0], 3)
+
+    @given(st.data(), st.sampled_from(LANE_SIZES), st.integers(0, 6),
+           st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_operations_match_brute(self, data, n, k, room):
+        # room patches the headroom, so that adds fold every room-th ingest
+        f = select_prime(n)
+        patch = (mock.patch.object(_core, "row_headroom", lambda q: room)
+                 if room else nullcontext())
+        with patch:
+            s, said = PowerSumSketch(f, k), []
+            for op, arg in data.draw(_sketch_ops(n)):
+                if op == "ingest":
+                    s.ingest(arg)
+                    said.append(arg)
+                elif op == "read":
+                    assert s.sums == brute_power_sums(said, k, f.q)
+                elif op == "stream":
+                    s.ingest_stream(arg)
+                    said += arg
+                else:
+                    other = PowerSumSketch(f, k)
+                    for x in arg:
+                        other.ingest(x)
+                    s = s.merge(other)
+                    said += arg
+            assert s.sums == brute_power_sums(said, k, f.q)
+            assert s.count == len(said)
+
+    def test_folds_at_the_headroom(self, monkeypatch):
+        monkeypatch.setattr(_core, "row_headroom", lambda q: 2)
+        f = select_prime(50)
+        s = PowerSumSketch(f, 3)
+        s.ingest(50)
+        assert s._acc
+        s.ingest(7)
+        assert not s._acc and s._sums == brute_power_sums([50, 7], 3, f.q)
+
+    def test_lanes_fill_to_the_real_headroom(self):
+        # x = q - 1 adds q - 1 to every odd power's 32-bit lane: the fold at
+        # the headroom comes before lane 1 could carry into lane 2
+        f = select_prime(65520)  # q = 65521, the largest prime below 2^16
+        room = _core.row_headroom(f.q)
+        assert room == (2**32 - 1) // (f.q - 1)
+        s = PowerSumSketch(f, 2)
+        for _ in range(room + 1):
+            s.ingest(65520)
+        assert s.sums == [(room + 1) * (f.q - 1) % f.q, (room + 1) % f.q]
+
+    def test_a_full_memo_computes_rows_without_storing_them(self, monkeypatch):
+        monkeypatch.setattr(_core, "_POWER_ROWS", {})
+        monkeypatch.setattr(_core, "_power_row_bytes", 0)
+        f, g, k = select_prime(100), select_prime(50), 5
+        cost = _core._row_bytes(f.q, k)
+        monkeypatch.setattr(_core, "_POWER_ROW_BYTES", 2 * cost)
+        s, xs = PowerSumSketch(f, k), [7, 7, 9, 100, 1, 9, 55]
+        for x in xs:
+            s.ingest(x)
+        assert s.sums == brute_power_sums(xs, k, f.q)
+        assert list(_core._POWER_ROWS) == [(f.q, k)]
+        assert sorted(_core._POWER_ROWS[(f.q, k)]) == [7, 9]
+        # a new table drops the oldest for room
+        t = PowerSumSketch(g, k)
+        t.ingest(3)
+        assert list(_core._POWER_ROWS) == [(g.q, k)]
+        assert _core._power_row_bytes == _core._row_bytes(g.q, k)
+        # with no room at all, nothing is stored
+        monkeypatch.setattr(_core, "_POWER_ROW_BYTES", 0)
+        s.ingest(8)
+        assert s.sums == brute_power_sums([*xs, 8], k, f.q)
+        assert list(_core._POWER_ROWS) == [(g.q, k)]
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(_core, "_POWER_ROWS", {})
+        monkeypatch.setattr(_core, "_power_row_bytes", 0)
+        f, k = select_prime(10**6), 1000  # 64-bit lanes, 8 kB a row
+        xs = list(range(1, 601))
+        s = PowerSumSketch(f, k)
+        for x in xs:
+            s.ingest(x)
+        stored = len(_core._POWER_ROWS[(f.q, k)])
+        assert 0 < stored < len(xs)
+        assert (_core._power_row_bytes == stored * _core._row_bytes(f.q, k)
+                <= _core._POWER_ROW_BYTES)
+        assert s.sums[:3] == brute_power_sums(xs, 3, f.q)
+
+    def test_deepcopy_of_a_mid_game_player_leaves_the_memo_alone(self):
+        cfg, seed = GameConfig(100), 5
+        alice, bob = make_players(cfg, "rand-sqrt", "random-unsaid", seed)
+        taken = []
+
+        def hook(player, turn, strategy):
+            if strategy is alice and turn == 30 and not taken:
+                copied = {}  # id of each object deepcopy copied
+                clone = copy.deepcopy(alice, copied)
+                taken.append((clone, copied, alice._sketch.sums))
+
+        run_game(alice, bob, cfg, seed, on_state=hook)
+        clone, copied, sums = taken[0]
+        assert clone._sketch.sums == sums
+        assert id(_core._POWER_ROWS) not in copied
+        assert not any(id(t) in copied for t in _core._POWER_ROWS.values())
 
 
 class TestNewton:
