@@ -15,13 +15,14 @@ import random
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mirrorlab import _core  # noqa: E402
-from mirrorlab._core import _pycore  # noqa: E402
 from mirrorlab.engine import GameConfig  # noqa: E402
-from mirrorlab.streamrec import elementary_from_power, select_prime  # noqa: E402
+from mirrorlab.streamrec import (PowerSumSketch, elementary_from_power,  # noqa: E402
+                                 recover_missing, select_prime)
 
 
 def timed(fn, *args, **kwargs):
@@ -49,39 +50,61 @@ def bench_batch(label, cfg, alice, bob, trials_fast, trials_py):
     row(label, per_fast, tp / trials_py * 1e6)
 
 
-def bench_kernel(label, name, *args):
-    """One call of each core's ``name``, timed after a first call that
-    fills the caches a recovery finds filled."""
-    getattr(_pycore, name)(*args)
-    tp, rp = timed(getattr(_pycore, name), *args)
+def best_of(repeats, fn, *args):
+    """(fastest of ``repeats`` timed calls, the result), after one call
+    that fills the caches a recovery finds filled."""
+    out = fn(*args)
+    return min(timed(fn, *args)[0] for _ in range(repeats)), out
+
+
+def bench_recovery(label, fn, *args):
+    """``fn`` on each core through ``_core``'s dispatch, in milliseconds."""
+    with mock.patch.object(_core, "HAVE_FAST", False):
+        tp, rp = best_of(5, fn, *args)
     ms = None
     if _core.HAVE_FAST:
-        getattr(_core, name)(*args)
-        tf, rf = timed(getattr(_core, name), *args)
+        tf, rf = best_of(5, fn, *args)
         assert rf == rp
         ms = tf * 1e3
     row(label, ms, tp * 1e3, "ms")
     return rp
 
 
-def bench_sums():
-    """A recovery's two field calls at n=1e4, k=64: the power sums of a
-    shuffled stream of 1..n less k numbers, over the range 1..n as
-    ``PowerSumSketch.ingest_stream`` asks for them, then the root scan."""
-    n, k = 10_000, 64
-    f = select_prime(n)
-    rng = random.Random(1)
+def shuffled_stream(n, k, seed):
+    """(the k missing numbers, ascending; 1..n less them, shuffled)"""
+    rng = random.Random(seed)
     missing = sorted(rng.sample(range(1, n + 1), k))
     gone = set(missing)
     xs = [v for v in range(1, n + 1) if v not in gone]
     rng.shuffle(xs)
-    sums = bench_kernel(f"power_sums n=1e4 k={k}", "power_sums", xs, k, f.q,
-                        1, n)
+    return missing, xs
+
+
+def recover(field, k, xs):
+    sketch = PowerSumSketch(field, k)
+    sketch.ingest_stream(xs)
+    return recover_missing(sketch, field.n, k)
+
+
+def bench_sums():
+    """A recovery's two field calls at n=1e4, k=64: the power sums of a
+    shuffled stream of 1..n less k numbers, over the range 1..n as
+    ``PowerSumSketch.ingest_stream`` asks for them, then the root scan;
+    and a whole ingest and recovery at k=32."""
+    n, k = 10_000, 64
+    f = select_prime(n)
+    missing, xs = shuffled_stream(n, k, 1)
+    sums = bench_recovery(f"power_sums n=1e4 k={k}", _core.power_sums, xs,
+                          k, f.q, 1, n)
     full = _core.full_power_sums(n, k, f.q)
     e = elementary_from_power([(a - b) % f.q for a, b in zip(full, sums)], f)
-    roots = bench_kernel(f"poly_root_scan n=1e4 k={k}", "poly_root_scan", e,
-                         n, f.q)
+    roots = bench_recovery(f"poly_root_scan n=1e4 k={k}", _core.poly_root_scan,
+                           e, n, f.q)
     assert roots == missing
+    missing, xs = shuffled_stream(n, 32, 2)
+    got = bench_recovery("ingest_stream + recover_missing n=1e4 k=32",
+                         recover, f, 32, xs)
+    assert got == missing
 
 
 def main():

@@ -18,10 +18,17 @@ This module is the only way into either core.  Every public function here
 range-checks its inputs once, on both backends, before anything of size n
 is allocated: sizes past the kernel's integer limits, moduli past 2^32 and
 trial indices past 64 bits raise ``ValueError``.  Each core checks the
-elements of a stream itself (the kernel in the pass that reduces them) and
-raises the same ``ValueError`` for one that is not an int in the range asked
-for.  The binding passes values on unchecked, and ctypes wraps an
-out-of-range int silently (``c_int(3_000_000_000)`` is negative).
+elements of a stream itself (the kernel in the pass that reduces or counts
+them) and raises the same ``ValueError`` for one that is not an int in the
+range asked for.  The binding passes values on unchecked, and ctypes wraps
+an out-of-range int silently (``c_int(3_000_000_000)`` is negative).
+
+``power_sums`` decides, for both cores, which stream is ingested by its
+deviation from the memoized sums of 1..n: the kernel counts the stream and
+multiplies out only the absent and repeated numbers, the Python core finds
+them with a set.  The kernel's root scan steps a forward-difference table,
+k adds per x; the Python core's is one chirp-z product for a prime q in
+(n, 2n].
 
 The packed power rows that ``PowerSumSketch.ingest`` adds (``power_row``)
 are pure Python on both backends; their memo sits beside that of the
@@ -165,13 +172,23 @@ def check_config(config) -> None:
 def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
                hi: int = INT64_MAX) -> list[int]:
     """First k power sums of the stream modulo q.  ``ValueError`` for an
-    element outside lo..hi, by default the signed 64-bit integers."""
+    element outside lo..hi, by default the signed 64-bit integers.
+
+    A stream over 1..hi at least half as long as its range (a recovery's
+    stream) is ingested by deviation on either core: the memoized sums of
+    1..hi (``full_power_sums``) plus the core's ``deviation_sums``, the
+    powers of each absent number taken once and of each repeat as often as
+    it repeats.  Any other stream is multiplied out term by term."""
     check_size("k", k)
     check_modulus(q)
     lo, hi = max(lo, INT64_MIN), min(hi, INT64_MAX)
-    if HAVE_FAST:
-        return _fast.power_sums(xs, k, q, lo, hi)
-    return _pycore.power_sums(xs, k, q, lo, hi)
+    core = _fast if HAVE_FAST else _pycore
+    if not isinstance(xs, (list, tuple)):
+        xs = list(xs)
+    if lo == 1 and 1 <= hi <= min(2 * len(xs), MAX_SIZE):
+        dev = core.deviation_sums(xs, k, q, hi)
+        return [(f + d) % q for f, d in zip(full_power_sums(hi, k, q), dev)]
+    return core.power_sums(xs, k, q, lo, hi)
 
 
 # (n, q) -> p1..pK of 1..n mod q for the largest K asked for so far; any

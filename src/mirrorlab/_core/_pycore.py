@@ -6,9 +6,11 @@ the real Strategy objects and the regular referee, so this module is also
 the reference the compiled loop is tested against.  Only ``mirrorlab._core``
 calls it, after range-checking every input.
 
-The field functions avoid an n*k Python loop where a recovery calls them: a
-stream that nearly fills 1..n is ingested by its deviation from the full
-range, and a root scan modulo a prime q in (n, 2n] is one chirp-z product
+The field functions avoid an n*k Python loop where a recovery calls them.
+``deviation_sums`` sums only the powers of the numbers a stream over 1..n
+misses or repeats; ``mirrorlab._core.power_sums`` decides when a stream is
+ingested that way and adds the result to the memoized sums of 1..n.  A root
+scan modulo a prime q in (n, 2n] is one chirp-z product
 (``poly_root_scan``).
 """
 
@@ -35,29 +37,27 @@ def stream_range_error(lo: int, hi: int) -> ValueError:
     return ValueError(f"stream element outside {lo}..{hi}")
 
 
-def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
-               hi: int = INT64_MAX) -> list[int]:
-    """First k power sums of the stream, modulo q; every element must be an
-    int in lo..hi.
-
-    A stream over 1..hi at least half as long as its range (a recovery's
-    stream) is ingested by deviation: the memoized sums of 1..hi, less the
-    powers of each absent number, plus those of each repeat.  Any other
-    stream is summed column-wise, one pass over it per power."""
-    if not isinstance(xs, (list, tuple)):
-        xs = list(xs)
+def _check_stream(xs, lo: int, hi: int) -> None:
+    """``stream_range_error`` unless every element is an int in lo..hi."""
     if xs and not (all(map(isinstance, xs, repeat(int)))
                    and lo <= min(xs) and max(xs) <= hi):
         raise stream_range_error(lo, hi)
-    if lo == 1 and hi <= 2 * len(xs):
-        return _deviation_sums(xs, k, q, hi)
+
+
+def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
+               hi: int = INT64_MAX) -> list[int]:
+    """First k power sums of the stream, modulo q, summed column-wise: one
+    pass over the stream per power.  Every element must be an int in
+    lo..hi."""
+    _check_stream(xs, lo, hi)
     return _weighted_sums(xs, repeat(1), k, q)
 
 
-def _deviation_sums(xs, k: int, q: int, n: int) -> list[int]:
-    """Power sums of a stream of numbers in 1..n, from those of 1..n."""
-    from . import full_power_sums  # the memo in mirrorlab._core
-
+def deviation_sums(xs, k: int, q: int, n: int) -> list[int]:
+    """First k power sums modulo q of the absent numbers of 1..n (weight -1)
+    and of the repeats (weight count - 1): what the stream adds to the
+    power sums of 1..n.  Every element must be an int in 1..n."""
+    _check_stream(xs, 1, n)
     absent = set(range(1, n + 1))
     absent.difference_update(xs)
     dev = list(absent)
@@ -67,8 +67,7 @@ def _deviation_sums(xs, k: int, q: int, n: int) -> list[int]:
             if c > 1:
                 dev.append(x)
                 weight.append(c - 1)
-    delta = _weighted_sums(dev, weight, k, q)
-    return [(f + d) % q for f, d in zip(full_power_sums(n, k, q), delta)]
+    return _weighted_sums(dev, weight, k, q)
 
 
 def _weighted_sums(xs, weights, k: int, q: int) -> list[int]:

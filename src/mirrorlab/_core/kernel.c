@@ -99,17 +99,30 @@ static inline u64 randbelow(u64 *state, u64 k)
  * is below 2^64: a power chain multiplies two residues below q < 2^32, and
  * a Horner step adds c < q to a residue times x <= n + 7 < 2^31 + 8.
  *
- * The chains run in independent lanes so that the multiply latencies
- * overlap: the power sums take 4 stream elements per pass and the root scan
- * 8 values of x.  A short last pass pads the power-sum lanes with 0, which
- * adds nothing to any sum, and runs the root-scan lanes past n but reports
- * only x <= n.  Power sums add raw terms (each below q) into the u64 sums
- * and reduce them once per block of SUM_BLOCK elements, at most
- * 2^28 (q - 1) < 2^60 per block. */
+ * Power sums run 4 chains per pass so that the multiply latencies overlap;
+ * a chain starts at its element's weight (1 in a plain stream), and a short
+ * last pass pads with x = 0, which adds nothing.  Sums add raw terms (each
+ * below q) into u64; ml_power_sums reduces them once per block of SUM_BLOCK
+ * elements, at most 2^28 (q - 1) < 2^60 per block.
+ *
+ * A recovery's stream, over 1..n and at least half as long as its range,
+ * is not multiplied out: mirrorlab._core decides that rule and adds the
+ * stream's deviation from ml_range_sums, the powers of the absent numbers
+ * (weight -1) and of the repeats (weight count - 1), to the memoized sums of
+ * 1..n, which the same function makes without a stream.  That costs
+ * O(n + k |dev|) in place of O(n k).
+ *
+ * The root scan steps a forward-difference table of f (see there): each x
+ * costs k modular adds and no multiply.  The table holds uint32 entries and
+ * steps 4 at a time in a GCC vector, which x86-64's SSE2 can add and compare
+ * (it has no 64-bit compare; u64 entries scanned 2-3x slower at n = 10^4,
+ * k = 32..64).  A sum of two residues can pass 2^32, so the step tests
+ * a >= q - b, which cannot wrap, in place of a + b >= q. */
 
-/* a GCC and Clang extension on 64-bit targets; where cc lacks it, the build
-   fails and mirrorlab._core runs the Python core */
+/* GCC and Clang extensions (u128 on 64-bit targets); where cc lacks them,
+   the build fails and mirrorlab._core runs the Python core */
 typedef unsigned __int128 u128;
+typedef uint32_t u32x4 __attribute__((vector_size(16)));
 
 #define SUM_BLOCK ((int64_t)1 << 28)  /* elements between reductions */
 
@@ -120,10 +133,12 @@ static inline u64 reduce(u64 a, u64 q, u64 m)
     return r >= q ? r - q : r;
 }
 
-/* sums[i] += x[0]^(i+1) + ... + x[3]^(i+1), unreduced, for i < k; x[j] < q */
-static inline void ingest4(u64 *sums, int k, const u64 *x, u64 q, u64 m)
+/* sums[i] += w[0] x[0]^(i+1) + ... + w[3] x[3]^(i+1), unreduced, for i < k;
+   x[j], w[j] < q */
+static inline void ingest4(u64 *sums, int k, const u64 *x, const u64 *w,
+                           u64 q, u64 m)
 {
-    u64 a0 = 1, a1 = 1, a2 = 1, a3 = 1;
+    u64 a0 = w[0], a1 = w[1], a2 = w[2], a3 = w[3];
     for (int i = 0; i < k; i++) {
         a0 = reduce(a0 * x[0], q, m);
         a1 = reduce(a1 * x[1], q, m);
@@ -138,6 +153,8 @@ static void reduce_all(u64 *sums, int k, u64 q, u64 m)
     for (int i = 0; i < k; i++)
         sums[i] = reduce(sums[i], q, m);
 }
+
+static const u64 UNIT[4] = {1, 1, 1, 1};
 
 /* First k power sums of xs[0..len) modulo q, into sums[0..k).  Returns
  * ML_OUT_OF_RANGE, with sums unfinished, if an element is outside lo..hi. */
@@ -160,7 +177,7 @@ int ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q,
                 x[j] = r ? q - r : 0;
             }
         }
-        ingest4(sums, k, x, q, m);
+        ingest4(sums, k, x, UNIT, q, m);
         if ((t + 4) % SUM_BLOCK == 0)
             reduce_all(sums, k, q, m);
     }
@@ -168,43 +185,116 @@ int ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q,
     return 0;
 }
 
-/* first k power sums of 1..n modulo q */
-void ml_full_power_sums(int n, int k, u64 q, u64 *sums)
+/* sums[i] = sum over v in 1..n of w(v) v^(i+1) mod q for i < k.  Without a
+ * stream (xs NULL) every w(v) is 1: the power sums of 1..n.  With one, w(v)
+ * is the count of v in xs[0..len) less 1: what the stream adds to the sums
+ * of 1..n, from the powers of its absent numbers and repeats only.  One
+ * pass counts the stream into n + 1 64-bit counts and range-checks it;
+ * returns ML_OUT_OF_RANGE if an element is outside 1..n, ML_NOMEM if the
+ * counts cannot be allocated.  At most n < 2^31 terms below 2^32 go into
+ * each sum, so the unreduced sums stay below 2^63. */
+int ml_range_sums(const int64_t *xs, int64_t len, int k, u64 q, int n,
+                  u64 *sums)
 {
     const u64 m = UINT64_MAX / q;
+    int64_t *cnt = NULL;
+    u64 x[4] = {0, 0, 0, 0}, w[4] = {1, 1, 1, 1};
+    int lanes = 0;
+    if (xs != NULL) {
+        cnt = calloc(n > 0 ? (size_t)n + 1 : 1, sizeof *cnt);
+        if (cnt == NULL)
+            return ML_NOMEM;
+        for (int64_t t = 0; t < len; t++) {
+            int64_t v = xs[t];
+            if (v < 1 || v > n) {
+                free(cnt);
+                return ML_OUT_OF_RANGE;
+            }
+            cnt[v]++;
+        }
+    }
     for (int i = 0; i < k; i++)
         sums[i] = 0;
-    for (int64_t v = 1; v <= n; v += 4) {
-        u64 x[4] = {0, 0, 0, 0};
-        for (int j = 0; j < 4 && v + j <= n; j++)
-            x[j] = reduce((u64)(v + j), q, m);
-        ingest4(sums, k, x, q, m);
-        if ((v + 3) % SUM_BLOCK == 0)
-            reduce_all(sums, k, q, m);
+    /* the last pass runs past n with x = 0 in its free lanes */
+    for (int64_t v = 1; v <= n || lanes; v++) {
+        if (v > n) {
+            x[lanes] = 0;
+        } else if (cnt == NULL) {
+            x[lanes] = reduce((u64)v, q, m);
+        } else {
+            w[lanes] = cnt[v] ? reduce((u64)(cnt[v] - 1), q, m) : q - 1;
+            if (w[lanes] == 0)
+                continue;
+            x[lanes] = reduce((u64)v, q, m);
+        }
+        if (++lanes == 4) {
+            ingest4(sums, k, x, w, q, m);
+            lanes = 0;
+        }
     }
+    free(cnt);
     reduce_all(sums, k, q, m);
+    return 0;
 }
 
 /* Roots in 1..n of x^k + c[0] x^(k-1) + ... + c[k-1] over GF(q), with the
  * coefficients reduced mod q.  Writes the first cap roots to out and returns
- * how many there are. */
+ * how many there are, or ML_NOMEM if the table cannot be allocated.
+ *
+ * Horner's rule evaluates f at x = 1..deg + 1, deg = min(k, n - 1), 8 values
+ * of x per pass.  O(deg^2) subtractions turn the values into the difference
+ * table d = f(1), Df(1), ..., D^deg f(1), and d[j] += d[j+1] moves every
+ * D^j f one x on.  Where deg = k, D^k f is constant and the table gives f at
+ * every x; where deg = n - 1 < k, d[0] after t <= deg steps is still f(1 + t)
+ * (Newton's forward formula).  The table is zero past d[deg], so whole
+ * vectors of 4 step it. */
 int ml_root_scan(const u64 *c, int k, int n, u64 q, int *out, int cap)
 {
     const u64 m = UINT64_MAX / q;
+    const int deg = n <= k ? n - 1 : k;
+    const uint32_t q32 = (uint32_t)q;
+    const u32x4 qv = {q32, q32, q32, q32};
+    uint32_t *d;
     int cnt = 0;
-    for (int64_t base = 1; base <= n; base += 8) {
+    if (n < 1)
+        return 0;
+    d = calloc((size_t)deg + 9, sizeof *d);
+    if (d == NULL)
+        return ML_NOMEM;
+    for (int64_t base = 1; base <= deg + 1; base += 8) {
         u64 val[8] = {1, 1, 1, 1, 1, 1, 1, 1};
         for (int j = 0; j < k; j++)
             for (int l = 0; l < 8; l++)
                 val[l] = reduce(val[l] * (u64)(base + l) + c[j], q, m);
-        for (int l = 0; l < 8 && base + l <= n; l++) {
-            if (val[l] == 0) {
-                if (cnt < cap)
-                    out[cnt] = (int)(base + l);
-                cnt++;
-            }
+        for (int l = 0; l < 8 && base + l <= deg + 1; l++)
+            d[base - 1 + l] = (uint32_t)val[l];
+    }
+    for (int j = 1; j <= deg; j++) {
+        uint32_t prev = d[j - 1];
+        for (int i = j; i <= deg; i++) {
+            uint32_t cur = d[i];
+            d[i] = cur >= prev ? cur - prev : cur + (q32 - prev);
+            prev = cur;
         }
     }
+    for (int x = 1;; x++) {
+        if (d[0] == 0) {
+            if (cnt < cap)
+                out[cnt] = x;
+            cnt++;
+        }
+        if (x == n)
+            break;
+        for (int j = 0; j < deg; j += 4) {
+            u32x4 a, b;
+            __builtin_memcpy(&a, d + j, sizeof a);
+            __builtin_memcpy(&b, d + j + 1, sizeof b);
+            /* a + b >= q exactly when a >= q - b, which does not wrap */
+            a += b - ((u32x4)(a >= qv - b) & qv);
+            __builtin_memcpy(d + j, &a, sizeof a);
+        }
+    }
+    free(d);
     return cnt;
 }
 

@@ -121,6 +121,7 @@ def test_kernel_and_python_agree_on_codes_and_exports():
     # The strategy codes and the exported functions live on both sides of
     # the ctypes boundary; each enum entry names its class in a comment.
     from mirrorlab import strategies
+    from mirrorlab._core import _kernel
     from mirrorlab._core._kernel import FUNCTIONS
 
     source = (PACKAGE / "_core" / "kernel.c").read_text()
@@ -136,3 +137,7 @@ def test_kernel_and_python_agree_on_codes_and_exports():
 
     exported = re.findall(r"^(?!static\b)\w[\w ]*?\b(ml_\w+)\(", source, re.M)
     assert sorted(exported) == sorted(FUNCTIONS)
+
+    codes = dict(re.findall(r"^\s*(ML_\w+) = (-?\d+),", source, re.M))
+    assert int(codes["ML_NOMEM"]) == _kernel._NOMEM
+    assert int(codes["ML_OUT_OF_RANGE"]) == _kernel._OUT_OF_RANGE

@@ -5,9 +5,10 @@ Monte Carlo batches through the compiled loop.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from mirrorlab import _core
@@ -133,14 +134,148 @@ def test_python_deviation_ingest_and_chirp_scan_match_the_kernel():
         xs += rng.choices(range(1, n + 1), k=rng.randrange(4))
         rng.shuffle(xs)
         for k in (0, 1, 5, 33):
-            assert (_fastcore.power_sums(xs, k, q, 1, n)
-                    == _pycore.power_sums(xs, k, q, 1, n)), (n, xs, k)
+            assert (_fastcore.deviation_sums(xs, k, q, n)
+                    == _pycore.deviation_sums(xs, k, q, n)), (n, xs, k)
         for k in (1, 3, 9, q + 1):
             roots = [rng.randint(1, n) for _ in range(k)]
             for e in (_planted(roots, q),
                       [rng.randrange(-q, 2 * q) for _ in range(k)]):
                 assert (_fastcore.poly_root_scan(e, n, q)
                         == _pycore.poly_root_scan(e, n, q)), (n, e)
+
+
+def _brute_power_sums(xs, k, q):
+    return [sum(pow(x, i, q) for x in xs) % q for i in range(1, k + 1)]
+
+
+def _core_power_sums(have_fast, *args):
+    """``_core.power_sums`` dispatching to the kernel or the Python core."""
+    with mock.patch.object(_core, "HAVE_FAST", have_fast):
+        return _core.power_sums(*args)
+
+
+@st.composite
+def _streams_over_a_range(draw):
+    """(n, a stream of up to 2n numbers of 1..n), the ends drawn often."""
+    n = draw(st.integers(1, 40))
+    element = st.one_of(st.sampled_from([1, n]), st.integers(1, n))
+    return n, draw(st.lists(element, max_size=2 * n))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(stream=_streams_over_a_range(), k=st.integers(0, 12),
+       q=st.sampled_from(FIELD_MODULI))
+@example(stream=(1, []), k=3, q=2)
+@example(stream=(1, [1, 1, 1]), k=2, q=10007)
+@example(stream=(5, [5, 1, 1, 5]), k=0, q=7)
+def test_deviation_sums_plus_full_sums_are_the_power_sums(stream, k, q):
+    # absent numbers, repeats, 1 and n, streams up to twice their range
+    n, xs = stream
+    want = _brute_power_sums(xs, k, q)
+    full = _core.full_power_sums(n, k, q)
+    for core in (_fastcore, _pycore):
+        dev = core.deviation_sums(xs, k, q, n)
+        assert [(f + d) % q for f, d in zip(full, dev)] == want, core
+    for have_fast in (True, False):
+        assert _core_power_sums(have_fast, xs, k, q, 1, n) == want, have_fast
+
+
+@pytest.mark.parametrize("have_fast", [True, False],
+                         ids=["kernel", "pure-python"])
+def test_power_sums_ingests_by_deviation_at_half_the_range(have_fast):
+    # the rule lives in _core.power_sums: a stream over 1..hi at least
+    # half as long as its range, on either core
+    core = _fastcore if have_fast else _pycore
+    calls = []
+
+    def spy(name):
+        real = getattr(core, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    with mock.patch.object(core, "deviation_sums", spy("deviation_sums")), \
+            mock.patch.object(core, "power_sums", spy("power_sums")):
+        for xs, lo, hi in (([1, 2, 3], 1, 6), ([1, 2, 3], 1, 7),
+                           ([2, 3, 4], 2, 6), ([1], 1, 1), ([], 1, 1),
+                           ([], 1, 0), ([], 1, -5)):
+            _core.full_power_sums(hi, 4, 11)  # the Python one sums columns
+            calls.clear()
+            got = _core_power_sums(have_fast, xs, 4, 11, lo, hi)
+            assert got == _brute_power_sums(xs, 4, 11)
+            rule = lo == 1 and 1 <= hi <= 2 * len(xs)
+            assert calls == ["deviation_sums" if rule else "power_sums"], (
+                xs, lo, hi)
+
+
+@pytest.mark.parametrize("bad", [0, 11, 2**63, 1.5, 2.0],
+                         ids=["zero", "n-plus-1", "2^63", "float", "int-float"])
+def test_deviation_sums_reject_the_same_elements(bad):
+    xs = [1, 2, 3, bad, 5, 6]
+    for core in (_fastcore, _pycore):
+        with pytest.raises(ValueError,
+                           match=r"^stream element outside 1\.\.10$"):
+            core.deviation_sums(xs, 3, 11, 10)
+    for have_fast in (True, False):
+        with pytest.raises(ValueError,
+                           match=r"^stream element outside 1\.\.10$"):
+            _core_power_sums(have_fast, xs, 3, 11, 1, 10)
+
+
+def test_empty_and_negative_ranges_agree():
+    for have_fast in (True, False):
+        with pytest.raises(ValueError,
+                           match=r"^stream element outside 1\.\.-5$"):
+            _core_power_sums(have_fast, [1], 2, 7, 1, -5)
+        with mock.patch.object(_core, "HAVE_FAST", have_fast):
+            assert _core.poly_root_scan([1, 2], -3, 7) == []
+            assert _core.poly_root_scan([1, 2], 0, 7) == []
+    for n in (-3, 0, 5):  # an empty stream, not the kernel's no-stream call
+        assert (_fastcore.deviation_sums([], 3, 11, n)
+                == _pycore.deviation_sums([], 3, 11, n))
+
+
+def test_deviation_sums_take_bools_as_ints():
+    for core in (_fastcore, _pycore):
+        assert (core.deviation_sums([True, 2, 2, True], 3, 11, 4)
+                == core.deviation_sums([1, 2, 2, 1], 3, 11, 4))
+
+
+# The kernel's root scan steps a uint32 difference table for every modulus;
+# above 2^31 a sum of two entries can pass 2^32.  1073741789 and 1073741827
+# are the primes next to 2^30.  Composite moduli and q <= n are scanned the
+# same way.
+SCAN_MODULI = [1, 2, 7, 12, 101, 10007, 1073741789, 1073741827, 2**31 - 1,
+               4294967291, 2**32 - 1]
+
+
+def _scan_polys(rng, k, n, q):
+    """The polynomial with roots planted at 1 and at n (as far as k allows)
+    and random others, then a random one."""
+    roots = ([1, n] + [rng.randint(1, n) for _ in range(k)])[:k]
+    return _planted(roots, q), [rng.randrange(-q, 2 * q) for _ in range(k)]
+
+
+@pytest.mark.parametrize("q", SCAN_MODULI)
+def test_difference_scan_matches_horner(q):
+    # n on both sides of k + 1: below it the table is of degree n - 1
+    rng = random.Random(q)
+    for k in (0, 1, 2, 3, 5, 8, 9, 17, 33):
+        for n in sorted({1, 2, k, k + 1, k + 2, k + 3, k + 10, 60} - {0}):
+            for e in _scan_polys(rng, k, n, q):
+                assert (_fastcore.poly_root_scan(e, n, q)
+                        == _pycore._horner_scan(e, n, q)), (k, n, e)
+
+
+def test_difference_scan_at_every_degree():
+    rng = random.Random(64)
+    n = 120
+    for k in range(65):
+        for q in (127, 113):  # a prime above n and one below
+            planted, other = _scan_polys(rng, k, n, q)
+            for e in (planted, other):
+                assert (_fastcore.poly_root_scan(e, n, q)
+                        == _pycore._horner_scan(e, n, q)), (k, q, e)
+        roots = sorted(rng.sample(range(2, n), max(k - 2, 0)) + [1, n][:k])
+        assert _fastcore.poly_root_scan(_planted(roots, 127), n, 127) == roots
 
 
 def test_unknown_strategy_falls_back_to_python():

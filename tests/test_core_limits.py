@@ -92,3 +92,17 @@ def test_stream_elements_checked_the_same_on_both_cores(monkeypatch,
                            match=r"^stream element outside 1\.\.10$"):
             sketch.ingest_stream(iter(xs))
         assert (sketch.sums, sketch.count) == ([0, 0], 0)
+
+
+def test_binding_maps_stream_return_codes():
+    # a stream kernel fails for a bad element or for want of memory, and
+    # only the first is the range error
+    from mirrorlab._core import _kernel
+
+    with pytest.raises(ValueError, match=r"^stream element outside 1\.\.5$"):
+        _kernel._check_stream(_kernel._OUT_OF_RANGE, 1, 5)
+    with pytest.raises(MemoryError):
+        _kernel._check_stream(_kernel._NOMEM, 1, 5)
+    with pytest.raises(RuntimeError, match="kernel error 2"):
+        _kernel._check_stream(2, 1, 5)
+    _kernel._check_stream(0, 1, 5)

@@ -459,6 +459,13 @@ class TestRecoverMissing:
         assert len(_core._FULL_SUMS) == _core._FULL_SUMS_PAIRS
 
 
+def python_power_sums(xs, k, q, lo, hi):
+    """``_core.power_sums`` on the pure-Python core, which ingests a stream
+    over 1..hi at least half as long as its range by deviation."""
+    with mock.patch.object(_core, "HAVE_FAST", False):
+        return _core.power_sums(xs, k, q, lo, hi)
+
+
 class TestPurePythonFieldPaths:
     """The pure-Python core's deviation ingest and chirp-z root scan, against
     its column pass and Horner scan, on whichever core is loaded."""
@@ -498,7 +505,7 @@ class TestPurePythonFieldPaths:
         # a range from max(xs) up to 40 past it: repeats, absent numbers and
         # streams longer than their range, on either side of the 2x cut
         n = max(xs, default=1) + extra
-        got = _pycore.power_sums(xs, k, q, 1, n)
+        got = python_power_sums(xs, k, q, 1, n)
         assert got == _pycore.power_sums(xs, k, q) == brute_power_sums(xs, k, q)
 
     @pytest.mark.parametrize("xs,n", [([], 1), ([], 5), ([1], 1), ([1, 1, 1], 1),
@@ -508,19 +515,19 @@ class TestPurePythonFieldPaths:
     def test_deviation_ingest_edge_streams(self, xs, n):
         for q in (1, 2, 7, 10007):
             for k in (0, 1, 4):
-                assert (_pycore.power_sums(xs, k, q, 1, n)
+                assert (python_power_sums(xs, k, q, 1, n)
                         == brute_power_sums(xs, k, q)), (q, k)
 
     def test_bools_are_ints_and_floats_are_not(self):
         for xs in ([True, 2, 3, True], [True] * 3 + [2] * 5):
             as_ints = [int(x) for x in xs]
             for lo, hi in ((1, 3), (INT64_MIN, INT64_MAX)):
-                assert (_pycore.power_sums(xs, 3, 7, lo, hi)
-                        == _pycore.power_sums(as_ints, 3, 7, lo, hi))
+                assert (python_power_sums(xs, 3, 7, lo, hi)
+                        == python_power_sums(as_ints, 3, 7, lo, hi))
         for xs in ([1.0, 2, 3], [1, 2, 3, 3, 2.0], [1.5]):
             with pytest.raises(ValueError,
                                match=r"^stream element outside 1\.\.3$"):
-                _pycore.power_sums(xs, 2, 7, 1, 3)
+                python_power_sums(xs, 2, 7, 1, 3)
             with pytest.raises(ValueError, match="^stream elements must be "
                                                  "integers that fit"):
                 _pycore.power_sums(xs, 2, 7)
@@ -536,7 +543,7 @@ class TestPurePythonFieldPaths:
         gone = set(missing)
         xs = [v for v in range(1, n + 1) if v not in gone]
         rng.shuffle(xs)
-        sums = _pycore.power_sums(xs, k, q, 1, n)
+        sums = python_power_sums(xs, k, q, 1, n)
         assert sums == _pycore.power_sums(xs, k, q)
         full = _pycore.full_power_sums(n, k, q)
         e = elementary_from_power([(f - s) % q for f, s in zip(full, sums)],
