@@ -9,6 +9,10 @@ The first import compiles the native kernel into the user cache (see
 ``mirrorlab._core``).  Both backends produce identical outputs (the
 equivalence suite enforces this); the only question here is speed.  Without
 a compiled core only the Python column is printed.
+
+A compiled batch runs on one thread per CPU the process may run on (the
+count heads the "fast/game" column), so that column is wall time per game
+on those threads; the row marked "serial" plays on one thread.
 """
 
 import random
@@ -20,6 +24,7 @@ from unittest import mock
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mirrorlab import _core  # noqa: E402
+from mirrorlab._core import _kernel  # noqa: E402
 from mirrorlab.engine import GameConfig  # noqa: E402
 from mirrorlab.streamrec import (PowerSumSketch, elementary_from_power,  # noqa: E402
                                  recover_missing, select_prime)
@@ -110,12 +115,17 @@ def bench_sums():
 def main():
     if not _core.HAVE_FAST:
         print(f"no compiled core ({_core.FALLBACK_REASON}); Python column only")
+    threads = f"{_core.BATCH_THREADS} thread" + "s" * (_core.BATCH_THREADS > 1)
+    print(f"{'':<42} {threads:>10}")
     print(f"{'game batches':<42} {'fast/game':>10} {'python/game':>12} {'speedup':>8}")
     print(f"{'(microseconds per game)':<42}")
     bench_batch("rand-log vs smallest-unsaid, n=100",
                 GameConfig(100), "rand-log", "smallest-unsaid", 200_000, 2_000)
     bench_batch("rand-sqrt vs random-unsaid, n=400",
                 GameConfig(400), "rand-sqrt", "random-unsaid", 2_000, 40)
+    with mock.patch.object(_kernel, "_THREADS", 1):
+        bench_batch("rand-sqrt vs random-unsaid, n=400, serial",
+                    GameConfig(400), "rand-sqrt", "random-unsaid", 2_000, 40)
     bench_batch("random-unsaid vs mirror, n=1000",
                 GameConfig(1000), "random-unsaid", "mirror", 10_000, 200)
     print()

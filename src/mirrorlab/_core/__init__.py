@@ -141,6 +141,8 @@ def _find_compiled():
 _fast, FALLBACK_REASON = _find_compiled()
 HAVE_FAST = _fast is not None
 BACKEND = "compiled" if HAVE_FAST else "python"
+# threads a compiled batch may use: one per CPU this process may run on
+BATCH_THREADS = _fast.batch_threads if HAVE_FAST else 1
 
 
 def check_size(name: str, value: int) -> None:
@@ -343,7 +345,8 @@ def play_game(config, alice_spec: str, bob_spec: str, game_seed: int,
 def play_batch(config, alice_spec: str, bob_spec: str, master_seed: int,
                start: int, trials: int, *, force_python: bool = False) -> dict:
     """Counts of the three outcomes (``engine.COUNT_KEYS``) over seeded
-    trials start..start+trials-1."""
+    trials start..start+trials-1.  On the compiled path a large batch runs
+    on ``BATCH_THREADS`` threads; the counts do not depend on the split."""
     check_trials(start, trials)
     args = _kernel_args(config, alice_spec, bob_spec, force_python)
     if args is None:

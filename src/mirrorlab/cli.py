@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--backend", action="store_true",
                         help="print the selected core backend (and why, on the "
-                        "pure-Python fallback) and exit")
+                        "pure-Python fallback) and the threads a compiled "
+                        "batch may use, and exit")
     sub = parser.add_subparsers(dest="cmd")
 
     p = sub.add_parser("play", help="referee one game and print the transcript")
@@ -339,7 +340,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.backend:
         _emit({"backend": _core.BACKEND,
-               "fallback_reason": _core.FALLBACK_REASON})
+               "fallback_reason": _core.FALLBACK_REASON,
+               "batch_threads": _core.BATCH_THREADS})
         return 0
     if not getattr(args, "cmd", None):
         parser.print_usage(sys.stderr)

@@ -3,7 +3,8 @@ walk (never-lose verification, occurring sets), and memory profiling.
 
 All batch randomness derives from (master_seed, trial_index), so reports are
 reproducible and independent of execution order; trials can be re-run in any
-split and merged (see ``merge_counts``).
+split and merged, which the compiled core's batch binding relies on to split
+a batch across threads (``mirrorlab._core._kernel``).
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ class ExperimentSpec:
             raise ValueError("need at least one trial")
 
 
-def merge_counts(*counts: dict) -> dict:
-    out: dict = {}
-    for c in counts:
-        for k, v in c.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
 def montecarlo(spec: ExperimentSpec,
                transcript_sink: Optional[Callable[[Transcript], None]] = None) -> dict:
     """Run the batch and report Alice's win rate with a 95% interval.
@@ -54,9 +47,11 @@ def montecarlo(spec: ExperimentSpec,
     a win for both).  With a ``transcript_sink`` every game is recorded and
     handed to it.  Games run on the compiled game loop when both strategies
     are kernel-codable, recorded or not; ``backend`` in the report names
-    the path this run took (``_core.route``).  No memory budget is checked
-    here on either path: ``memory_profile`` measures every state against
-    its budget, and the ``play`` command referees with every budget checked.
+    the path this run took (``_core.route``).  A compiled batch uses every
+    CPU the process may run on, and its counts do not depend on the split.
+    No memory budget is checked here on either path: ``memory_profile``
+    measures every state against its budget, and the ``play`` command
+    referees with every budget checked.
     """
     cfg = spec.config
     backend, _ = _core.route(cfg, spec.alice, spec.bob)

@@ -341,4 +341,6 @@ class TestUsage:
     def test_backend_flag(self):
         rc, out = run_cli(["--backend"])
         assert rc == 0
-        assert json.loads(out)["backend"] in ("compiled", "python")
+        report = json.loads(out)
+        assert report["backend"] in ("compiled", "python")
+        assert report["batch_threads"] == _core.BATCH_THREADS >= 1

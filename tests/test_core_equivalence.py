@@ -4,7 +4,11 @@ Transcript-level equality over many seeds is what licenses routing the big
 Monte Carlo batches through the compiled loop.
 """
 
+import ctypes
+import json
 import random
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from mirrorlab import _core
-from mirrorlab._core import _pycore
+from mirrorlab._core import _kernel, _pycore
 from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.strategies import make_players
 from mirrorlab.streamrec import select_prime
@@ -394,3 +398,135 @@ def test_random_matchups_agree(n, a, b, alice, bob, seed, start, trials):
     assert (_core.play_batch(cfg, alice, bob, seed, start, trials)
             == _core.play_batch(cfg, alice, bob, seed, start, trials,
                                 force_python=True))
+
+
+# The binding splits a batch of at least SPLIT_MIN_WORK trials times n into
+# chunks run on threads.  Trial i's game depends on (master seed, i) alone,
+# so no split may change a count, their order or an error.
+SPLIT_THREADS = (1, 2, 3, 5)
+
+
+def _split_trial_counts(n):
+    """1, 2, either side of the split threshold, and an odd total."""
+    edge = -(-_kernel.SPLIT_MIN_WORK // n)  # the fewest trials that split
+    return (1, 2, edge - 1, edge, edge + 1, 2 * edge + 3)
+
+
+def _batches(monkeypatch, threads, cfg, alice, bob, seed, start, trials):
+    monkeypatch.setattr(_kernel, "_THREADS", threads)
+    return list(_core.play_batch(cfg, alice, bob, seed, start,
+                                 trials).items())
+
+
+@pytest.mark.parametrize("cfg,alice,bob",
+                         MATCHUPS, ids=[f"{a}-vs-{b}-n{c.n}" for c, a, b in MATCHUPS])
+def test_split_batches_match_a_serial_run(monkeypatch, cfg, alice, bob):
+    assert _core.route(cfg, alice, bob)[0] == "compiled"
+    for trials in _split_trial_counts(cfg.n):
+        for start in (0, 2**63 - trials):  # check_trials' last index
+            serial = _batches(monkeypatch, 1, cfg, alice, bob, 11, start,
+                              trials)
+            assert sum(count for _, count in serial) == trials
+            for threads in SPLIT_THREADS[1:]:
+                assert _batches(monkeypatch, threads, cfg, alice, bob, 11,
+                                start, trials) == serial, (trials, start,
+                                                           threads)
+
+
+@pytest.mark.parametrize("threads", SPLIT_THREADS[1:])
+def test_split_batches_match_the_python_core(monkeypatch, threads):
+    # every trial count splits here, so a slice small enough for the
+    # Python referee runs in chunks of one trial and more
+    monkeypatch.setattr(_kernel, "SPLIT_MIN_WORK", 1)
+    for cfg, alice, bob in MATCHUPS:
+        for start, trials in ((0, 1), (0, 7), (2**63 - 13, 13)):
+            slow = _core.play_batch(cfg, alice, bob, 5, start, trials,
+                                    force_python=True)
+            assert _batches(monkeypatch, threads, cfg, alice, bob, 5, start,
+                            trials) == list(slow.items()), (cfg, alice, bob)
+
+
+def test_montecarlo_stdout_does_not_depend_on_the_split(monkeypatch, capsys):
+    from mirrorlab.cli import cli_main
+
+    argv = ["montecarlo", "--n", "100", "--alice", "rand-log", "--bob",
+            "random-unsaid", "--trials", "3001", "--seed", "8"]
+    outs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(_kernel, "_THREADS", threads)
+        assert cli_main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["backend"] == "compiled"
+
+
+_REAL_PLAY_BATCH = _fastcore._play_batch if _fastcore else None
+
+
+def _failing_kernel(monkeypatch, code, failing=(), slow_chunk=None):
+    """Replace the foreign batch call: a chunk holding a trial of
+    ``failing`` reports the lowest such trial with ``code``, as the kernel
+    does, and the chunk starting at ``slow_chunk`` answers late.  Returns
+    the (first trial, trials) of every call made."""
+    real = _REAL_PLAY_BATCH
+    calls = []
+
+    def play(*args):
+        *_, first, trials, counts = args
+        calls.append((first, trials))
+        if first == slow_chunk:
+            time.sleep(0.05)  # a later failing chunk answers first
+        bad = [t for t in failing if first <= t < first + trials]
+        if not bad:
+            return real(*args)
+        (ctypes.c_int64 * 4).from_address(counts)[3] = min(bad)
+        return code
+
+    monkeypatch.setattr(_fastcore, "_play_batch", play)
+    return calls
+
+
+@pytest.mark.parametrize("threads", SPLIT_THREADS[1:])
+@pytest.mark.parametrize("code,error", [
+    (3, r"^kernel error 3 at trial {}$"),
+    (-1, r"^$"),  # ML_NOMEM
+], ids=["kernel-error", "no-memory"])
+def test_split_batch_raises_the_error_of_a_serial_run(monkeypatch, threads,
+                                                      code, error):
+    cfg, start, trials = GameConfig(100), 10**12, 1000
+    monkeypatch.setattr(_kernel, "_THREADS", threads)
+    chunks = _failing_kernel(monkeypatch, code)
+    before = threading.active_count()
+    _core.play_batch(cfg, "rand-log", "smallest-unsaid", 3, start, trials)
+    assert threading.active_count() == before
+    assert len(chunks) > 4 and sum(t for _, t in chunks) == trials
+    chunks.sort()
+    failing = (chunks[1][0] + 7, chunks[3][0] + 3)  # 2nd and 4th chunks
+    kind = MemoryError if code == -1 else RuntimeError
+    for n_threads in (threads, 1):
+        monkeypatch.setattr(_kernel, "_THREADS", n_threads)
+        _failing_kernel(monkeypatch, code, failing, slow_chunk=chunks[1][0])
+        with pytest.raises(kind, match=error.format(failing[0])):
+            _core.play_batch(cfg, "rand-log", "smallest-unsaid", 3, start,
+                             trials)
+        assert threading.active_count() == before
+
+
+def test_a_chunk_whose_worker_raised_runs_on_the_caller(monkeypatch):
+    # the caller runs such a chunk again, so the counts stay whole
+    cfg = GameConfig(100)
+    want = _core.play_batch(cfg, "rand-log", "smallest-unsaid", 4, 0, 1000)
+    monkeypatch.setattr(_kernel, "_THREADS", 2)
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+
+    def play(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)  # the caller takes chunks meanwhile
+            raise ctypes.ArgumentError("worker")
+        return _REAL_PLAY_BATCH(*args)
+
+    monkeypatch.setattr(_fastcore, "_play_batch", play)
+    assert _core.play_batch(cfg, "rand-log", "smallest-unsaid", 4, 0,
+                            1000) == want
+    assert len(raised) == 1

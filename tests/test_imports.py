@@ -18,10 +18,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Modules that neither recover-missing nor --backend runs.  dataclasses,
 # subprocess and tempfile are loaded only by the referee, the harness or a
 # kernel build; the kernel cache is keyed without hashlib and found without
-# pathlib.
+# pathlib; threading only by a game batch that the binding splits.
 NOT_LOADED = ["mirrorlab.engine", "mirrorlab.harness", "mirrorlab.strategies",
               "mirrorlab.setfam", "mirrorlab.stats", "dataclasses",
-              "subprocess", "tempfile", "hashlib", "pathlib"]
+              "subprocess", "tempfile", "hashlib", "pathlib", "threading"]
 
 # ``python -m mirrorlab.cli``, which then prints the loaded module names as
 # the last line of stderr.  -S keeps site out, so that only the modules the
@@ -61,8 +61,10 @@ def test_cli_loads_only_what_it_runs(argv, stdin, pure_python):
     if argv[0] == "recover-missing":
         assert json.loads(out) == [3, 7]
     else:
-        assert json.loads(out)["backend"] == (
-            "python" if pure_python else "compiled")
+        report = json.loads(out)
+        assert report["backend"] == ("python" if pure_python else "compiled")
+        assert report["batch_threads"] == (
+            1 if pure_python else _core.BATCH_THREADS)
     assert "mirrorlab._core" in modules
     assert [m for m in NOT_LOADED if m in modules] == []
 
