@@ -93,14 +93,13 @@ def recover(field, k, xs):
 
 def bench_sums():
     """A recovery's two field calls at n=1e4, k=64: the power sums of a
-    shuffled stream of 1..n less k numbers, over the range 1..n as
-    ``PowerSumSketch.ingest_stream`` asks for them, then the root scan;
-    and a whole ingest and recovery at k=32."""
+    shuffled stream of 1..n less k numbers, as ``ingest_stream`` asks for
+    them, then the root scan; and a whole ingest and recovery at k=32."""
     n, k = 10_000, 64
     f = select_prime(n)
     missing, xs = shuffled_stream(n, k, 1)
     sums = bench_recovery(f"power_sums n=1e4 k={k}", _core.power_sums, xs,
-                          k, f.q, 1, n)
+                          k, f.q, n)
     full = _core.full_power_sums(n, k, f.q)
     e = elementary_from_power([(a - b) % f.q for a, b in zip(full, sums)], f)
     roots = bench_recovery(f"poly_root_scan n=1e4 k={k}", _core.poly_root_scan,

@@ -18,17 +18,18 @@ This module is the only way into either core.  Every public function here
 range-checks its inputs once, on both backends, before anything of size n
 is allocated: sizes past the kernel's integer limits, moduli past 2^32 and
 trial indices past 64 bits raise ``ValueError``.  Each core checks the
-elements of a stream itself (the kernel in the pass that reduces or counts
-them) and raises the same ``ValueError`` for one that is not an int in the
-range asked for.  The binding passes values on unchecked, and ctypes wraps
-an out-of-range int silently (``c_int(3_000_000_000)`` is negative).
+elements of a stream itself (the kernel in the pass that checks or counts
+them) and raises the same ``ValueError`` for one that is not an int in
+1..n.  The binding passes values on unchecked, and ctypes wraps an
+out-of-range int silently (``c_int(3_000_000_000)`` is negative).
 
-``power_sums`` decides, for both cores, which stream is ingested by its
-deviation from the memoized sums of 1..n: the kernel counts the stream and
-multiplies out only the absent and repeated numbers, the Python core finds
-them with a set.  The kernel's root scan steps a forward-difference table,
-k adds per x; the Python core's is one chirp-z product for a prime q in
-(n, 2n].
+``power_sums`` takes a stream over 1..n, the only kind the program sketches,
+and decides for both cores which stream is ingested by its deviation from
+the memoized sums of 1..n: the kernel counts the stream and multiplies out
+only the absent and repeated numbers, the Python core finds them with a
+set.  Each core has one stream function for both paths.  The kernel's
+root scan steps a forward-difference table, k adds per x; the Python
+core's is one chirp-z product for a prime q in (n, 2n].
 
 The packed power rows that ``PowerSumSketch.ingest`` adds (``power_row``)
 are pure Python on both backends; their memo sits beside that of the
@@ -42,12 +43,13 @@ import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
 from . import _pycore
-from ._pycore import INT64_MAX, INT64_MIN, is_prime
+from ._pycore import is_prime
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 _COMPILE_TIMEOUT = 300  # seconds; the -O3 build takes ~0.5 s on a 2-CPU x86-64
 
 INT_MAX = 2**31 - 1
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 MAX_SIZE = INT_MAX - 2      # a size n leaves room for the kernel's n + 2
 Q_LIMIT = 2**32             # below this every field product fits 64 bits
 
@@ -171,26 +173,22 @@ def check_config(config) -> None:
         check_size(name, getattr(config, name))
 
 
-def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
-               hi: int = INT64_MAX) -> list[int]:
-    """First k power sums of the stream modulo q.  ``ValueError`` for an
-    element outside lo..hi, by default the signed 64-bit integers.
+def power_sums(xs, k: int, q: int, n: int) -> list[int]:
+    """First k power sums modulo q of a stream of ints in 1..n;
+    ``ValueError`` for any other element.
 
-    A stream over 1..hi at least half as long as its range (a recovery's
-    stream) is ingested by deviation on either core: the memoized sums of
-    1..hi (``full_power_sums``) plus the core's ``deviation_sums``, the
-    powers of each absent number taken once and of each repeat as often as
-    it repeats.  Any other stream is multiplied out term by term."""
+    A stream at least half as long as its range (a recovery's stream) is
+    ingested by deviation on either core: the memoized sums of 1..n
+    (``full_power_sums``) plus the powers of each absent number at weight
+    -1 and of each repeat at weight count - 1.  A shorter stream is
+    multiplied out term by term, and nothing n-sized is allocated."""
+    check_size("n", n)
     check_size("k", k)
     check_modulus(q)
-    lo, hi = max(lo, INT64_MIN), min(hi, INT64_MAX)
-    core = _fast if HAVE_FAST else _pycore
     if not isinstance(xs, (list, tuple)):
         xs = list(xs)
-    if lo == 1 and 1 <= hi <= min(2 * len(xs), MAX_SIZE):
-        dev = core.deviation_sums(xs, k, q, hi)
-        return [(f + d) % q for f, d in zip(full_power_sums(hi, k, q), dev)]
-    return core.power_sums(xs, k, q, lo, hi)
+    full = full_power_sums(n, k, q) if 2 * len(xs) >= n else None
+    return (_fast if HAVE_FAST else _pycore).power_sums(xs, k, q, n, full)
 
 
 # (n, q) -> p1..pK of 1..n mod q for the largest K asked for so far; any

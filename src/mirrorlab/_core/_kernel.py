@@ -9,12 +9,12 @@ order, which is what ``engine.Transcript`` holds.
 
 Only ``mirrorlab._core`` calls it, and it range-checks every value first, so
 nothing is checked here again.  ``_core.power_sums`` also decides which
-stream is ingested by deviation (``deviation_sums``) and which is multiplied
-out (``power_sums``).  The one error of the binding's own is a stream
-element outside the range asked for: packing tells one that does not fit a
-signed 64-bit integer, and the kernel the rest, in the pass that reduces or
-counts them.  The root scan steps a difference table in the kernel (see
-there); a failed allocation raises ``MemoryError``.
+stream is ingested by its deviation from the sums of 1..n and which is
+multiplied out; ``power_sums`` makes one foreign call either way.  The one
+error of the binding's own is a stream element outside 1..n: packing tells
+one that is not an int of 64 bits, and the kernel the rest, in the pass that
+checks or counts them.  The root scan steps a difference table in the kernel
+(see there); a failed allocation raises ``MemoryError``.
 
 A game batch uses every CPU this process may run on.  Trial i's game
 depends on the master seed and i alone, so a batch of at least
@@ -32,7 +32,7 @@ import os
 import struct
 from array import array
 
-from ._pycore import INT64_MAX, INT64_MIN, stream_range_error
+from ._pycore import stream_range_error
 
 _NOMEM = -1
 _OUT_OF_RANGE = 4
@@ -55,8 +55,7 @@ _I, _I64, _U64, _P = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
 _GAME = [_I] * 7  # n, a, b, acode, bcode, r, k
 # every function kernel.c exports: name -> (restype, argtypes)
 FUNCTIONS = {
-    "ml_power_sums": (_I, [_P, _I64, _I, _U64, _I64, _I64, _P]),
-    "ml_range_sums": (_I, [_P, _I64, _I, _U64, _I, _P]),
+    "ml_range_sums": (_I, [_P, _I64, _I, _I, _U64, _I, _P]),
     "ml_root_scan": (_I, [_P, _I, _I, _U64, _P, _I]),
     "ml_play_game": (_I, _GAME + [_U64, _P, _I64, _P]),
     "ml_play_batch": (_I, _GAME + [_U64, _I64, _I64, _P]),
@@ -92,19 +91,10 @@ def _raise(code: int, where: str):
     raise RuntimeError(f"kernel error {code} {where}")
 
 
-def _pack_stream(xs, lo: int, hi: int) -> bytes:
-    """The stream as native int64s; an element that is not an int or does
-    not fit raises the range error for lo..hi."""
-    try:  # struct packs a list about twice as fast as array() does
-        return struct.pack(f"{len(xs)}q", *xs)
-    except struct.error:
-        raise stream_range_error(lo, hi) from None
-
-
-def _check_stream(code: int, lo: int, hi: int) -> None:
-    """Raise for a stream kernel's nonzero return code."""
+def _check_stream(code: int, n: int) -> None:
+    """Raise for ``ml_range_sums``'s nonzero return code."""
     if code == _OUT_OF_RANGE:
-        raise stream_range_error(lo, hi)
+        raise stream_range_error(n)
     if code:
         _raise(code, "in a stream")
 
@@ -121,29 +111,25 @@ class Kernel:
             fn.argtypes = argtypes
             setattr(self, "_" + name[3:], fn)
 
-    def power_sums(self, xs, k: int, q: int, lo: int = INT64_MIN,
-                   hi: int = INT64_MAX) -> list[int]:
-        """First k power sums of the integer stream, modulo q; every element
-        must lie in lo..hi, a range within int64."""
-        buf = _pack_stream(xs, lo, hi)
+    def power_sums(self, xs, k: int, q: int, n: int, full) -> list[int]:
+        """First k power sums modulo q of the stream, every element an int
+        in 1..n.  With ``full``, the sums of 1..n, the kernel makes only
+        the stream's deviation from them; without, it multiplies the stream
+        out."""
+        try:  # struct packs a list about twice as fast as array() does
+            buf = struct.pack(f"{len(xs)}q", *xs)
+        except struct.error:
+            raise stream_range_error(n) from None
         sums = _zeros("Q", max(k, 0))
-        _check_stream(self._power_sums(buf, len(buf) // 8, k, q, lo, hi,
-                                       _addr(sums)), lo, hi)
-        return sums.tolist()
-
-    def deviation_sums(self, xs, k: int, q: int, n: int) -> list[int]:
-        """First k power sums modulo q of the absent numbers of 1..n
-        (weight -1) and of the repeats (weight count - 1): what the stream
-        adds to the power sums of 1..n.  Every element must lie in 1..n."""
-        buf = _pack_stream(xs, 1, n)
-        sums = _zeros("Q", max(k, 0))
-        _check_stream(self._range_sums(buf, len(buf) // 8, k, q, n,
-                                       _addr(sums)), 1, n)
-        return sums.tolist()
+        _check_stream(self._range_sums(buf, len(xs), full is not None, k, q,
+                                       n, _addr(sums)), n)
+        if full is None:
+            return sums.tolist()
+        return [(f + d) % q for f, d in zip(full, sums)]
 
     def full_power_sums(self, n: int, k: int, q: int) -> list[int]:
         sums = _zeros("Q", max(k, 0))
-        self._range_sums(None, 0, k, q, n, _addr(sums))  # no stream, no error
+        self._range_sums(None, 0, 0, k, q, n, _addr(sums))  # no stream, no error
         return sums.tolist()
 
     def poly_root_scan(self, e, n: int, q: int) -> list[int]:

@@ -7,11 +7,10 @@ the reference the compiled loop is tested against.  Only ``mirrorlab._core``
 calls it, after range-checking every input.
 
 The field functions avoid an n*k Python loop where a recovery calls them.
-``deviation_sums`` sums only the powers of the numbers a stream over 1..n
-misses or repeats; ``mirrorlab._core.power_sums`` decides when a stream is
-ingested that way and adds the result to the memoized sums of 1..n.  A root
-scan modulo a prime q in (n, 2n] is one chirp-z product
-(``poly_root_scan``).
+Given the memoized sums of 1..n, ``power_sums`` adds only the powers of the
+numbers a stream over 1..n misses or repeats; ``mirrorlab._core.power_sums``
+decides which streams are ingested that way.  A root scan modulo a prime q
+in (n, 2n] is one chirp-z product (``poly_root_scan``).
 """
 
 from __future__ import annotations
@@ -25,39 +24,23 @@ from operator import mod, not_
 from ..rng import derive_seed
 
 
-INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
-
-
-def stream_range_error(lo: int, hi: int) -> ValueError:
+def stream_range_error(n: int) -> ValueError:
     """The error both cores raise for a stream element that is not an int
-    in lo..hi."""
-    if (lo, hi) == (INT64_MIN, INT64_MAX):
-        return ValueError("stream elements must be integers that fit a "
-                          "signed 64-bit integer")
-    return ValueError(f"stream element outside {lo}..{hi}")
+    in 1..n."""
+    return ValueError(f"stream element outside 1..{n}")
 
 
-def _check_stream(xs, lo: int, hi: int) -> None:
-    """``stream_range_error`` unless every element is an int in lo..hi."""
+def power_sums(xs, k: int, q: int, n: int, full) -> list[int]:
+    """First k power sums modulo q of the stream, every element an int in
+    1..n.  With ``full``, the sums of 1..n, only the stream's deviation from
+    1..n is multiplied out: the absent numbers at weight -1 and the repeats
+    at weight count - 1, found with a set.  Without it, the stream itself
+    is, one pass over it per power, and nothing n-sized is allocated."""
     if xs and not (all(map(isinstance, xs, repeat(int)))
-                   and lo <= min(xs) and max(xs) <= hi):
-        raise stream_range_error(lo, hi)
-
-
-def power_sums(xs, k: int, q: int, lo: int = INT64_MIN,
-               hi: int = INT64_MAX) -> list[int]:
-    """First k power sums of the stream, modulo q, summed column-wise: one
-    pass over the stream per power.  Every element must be an int in
-    lo..hi."""
-    _check_stream(xs, lo, hi)
-    return _weighted_sums(xs, repeat(1), k, q)
-
-
-def deviation_sums(xs, k: int, q: int, n: int) -> list[int]:
-    """First k power sums modulo q of the absent numbers of 1..n (weight -1)
-    and of the repeats (weight count - 1): what the stream adds to the
-    power sums of 1..n.  Every element must be an int in 1..n."""
-    _check_stream(xs, 1, n)
+                   and 1 <= min(xs) and max(xs) <= n):
+        raise stream_range_error(n)
+    if full is None:
+        return _weighted_sums(xs, repeat(1), k, q)
     absent = set(range(1, n + 1))
     absent.difference_update(xs)
     dev = list(absent)
@@ -67,7 +50,8 @@ def deviation_sums(xs, k: int, q: int, n: int) -> list[int]:
             if c > 1:
                 dev.append(x)
                 weight.append(c - 1)
-    return _weighted_sums(dev, weight, k, q)
+    return [(f + d) % q
+            for f, d in zip(full, _weighted_sums(dev, weight, k, q))]
 
 
 def _weighted_sums(xs, weights, k: int, q: int) -> list[int]:
@@ -81,7 +65,7 @@ def _weighted_sums(xs, weights, k: int, q: int) -> list[int]:
 
 
 def full_power_sums(n: int, k: int, q: int) -> list[int]:
-    return power_sums(range(1, n + 1), k, q)
+    return _weighted_sums(range(1, n + 1), repeat(1), k, q)
 
 
 def is_prime(m: int) -> bool:

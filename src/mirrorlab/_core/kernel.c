@@ -32,7 +32,7 @@ enum {
     ML_NOMEM = -1,
     ML_BAD_CODE = 2,     /* a strategy code the game loop does not know */
     ML_RECORD_FULL = 3,  /* the transcript buffer was too small */
-    ML_OUT_OF_RANGE = 4, /* a stream element outside the range asked for */
+    ML_OUT_OF_RANGE = 4, /* a stream element outside 1..n */
 };
 
 /* strategy codes; the class in mirrorlab.strategies named beside each code
@@ -100,10 +100,11 @@ static inline u64 randbelow(u64 *state, u64 k)
  * a Horner step adds c < q to a residue times x <= n + 7 < 2^31 + 8.
  *
  * Power sums run 4 chains per pass so that the multiply latencies overlap;
- * a chain starts at its element's weight (1 in a plain stream), and a short
- * last pass pads with x = 0, which adds nothing.  Sums add raw terms (each
- * below q) into u64; ml_power_sums reduces them once per block of SUM_BLOCK
- * elements, at most 2^28 (q - 1) < 2^60 per block.
+ * a chain starts at its term's weight, and a short last pass pads with
+ * x = 0, which adds nothing.  Sums add raw terms (each below q < 2^32) into
+ * u64 and are reduced once, at the end.  No sum can overflow: a stream is
+ * multiplied out only while it is shorter than half its range, so it has
+ * fewer than n/2 < 2^30 terms, and a pass over 1..n has n < 2^31.
  *
  * A recovery's stream, over 1..n and at least half as long as its range,
  * is not multiplied out: mirrorlab._core decides that rule and adds the
@@ -123,8 +124,6 @@ static inline u64 randbelow(u64 *state, u64 k)
    the build fails and mirrorlab._core runs the Python core */
 typedef unsigned __int128 u128;
 typedef uint32_t u32x4 __attribute__((vector_size(16)));
-
-#define SUM_BLOCK ((int64_t)1 << 28)  /* elements between reductions */
 
 /* a mod q for any a < 2^64, with m = UINT64_MAX / q */
 static inline u64 reduce(u64 a, u64 q, u64 m)
@@ -148,59 +147,25 @@ static inline void ingest4(u64 *sums, int k, const u64 *x, const u64 *w,
     }
 }
 
-static void reduce_all(u64 *sums, int k, u64 q, u64 m)
-{
-    for (int i = 0; i < k; i++)
-        sums[i] = reduce(sums[i], q, m);
-}
-
-static const u64 UNIT[4] = {1, 1, 1, 1};
-
-/* First k power sums of xs[0..len) modulo q, into sums[0..k).  Returns
- * ML_OUT_OF_RANGE, with sums unfinished, if an element is outside lo..hi. */
-int ml_power_sums(const int64_t *xs, int64_t len, int k, u64 q,
-                  int64_t lo, int64_t hi, u64 *sums)
-{
-    const u64 m = UINT64_MAX / q;
-    for (int i = 0; i < k; i++)
-        sums[i] = 0;
-    for (int64_t t = 0; t < len; t += 4) {
-        u64 x[4] = {0, 0, 0, 0};
-        for (int j = 0; j < 4 && t + j < len; j++) {
-            int64_t v = xs[t + j];
-            if (v < lo || v > hi)
-                return ML_OUT_OF_RANGE;
-            if (v >= 0) {
-                x[j] = reduce((u64)v, q, m);
-            } else { /* 0 - (u64)v is |v|, INT64_MIN included */
-                u64 r = reduce(0 - (u64)v, q, m);
-                x[j] = r ? q - r : 0;
-            }
-        }
-        ingest4(sums, k, x, UNIT, q, m);
-        if ((t + 4) % SUM_BLOCK == 0)
-            reduce_all(sums, k, q, m);
-    }
-    reduce_all(sums, k, q, m);
-    return 0;
-}
-
-/* sums[i] = sum over v in 1..n of w(v) v^(i+1) mod q for i < k.  Without a
- * stream (xs NULL) every w(v) is 1: the power sums of 1..n.  With one, w(v)
- * is the count of v in xs[0..len) less 1: what the stream adds to the sums
- * of 1..n, from the powers of its absent numbers and repeats only.  One
- * pass counts the stream into n + 1 64-bit counts and range-checks it;
- * returns ML_OUT_OF_RANGE if an element is outside 1..n, ML_NOMEM if the
- * counts cannot be allocated.  At most n < 2^31 terms below 2^32 go into
- * each sum, so the unreduced sums stay below 2^63. */
-int ml_range_sums(const int64_t *xs, int64_t len, int k, u64 q, int n,
-                  u64 *sums)
+/* sums[i] = sum of w(v) v^(i+1) mod q for i < k, over the terms v:
+ *  - without a stream (xs NULL, len 0, dev 0), the numbers 1..n, each at
+ *    weight 1: the power sums of 1..n;
+ *  - with dev nonzero, the numbers 1..n, v at weight (the count of v in
+ *    xs[0..len)) - 1: what the stream adds to the sums of 1..n, from the
+ *    powers of its absent numbers and repeats only.  One pass counts the
+ *    stream into n + 1 64-bit counts and range-checks it;
+ *  - with dev zero, the elements of xs[0..len), each at weight 1, checked
+ *    as they are multiplied out; nothing n-sized is allocated.
+ * Returns ML_OUT_OF_RANGE, with sums unfinished, if an element is outside
+ * 1..n, and ML_NOMEM if the counts cannot be allocated. */
+int ml_range_sums(const int64_t *xs, int64_t len, int dev, int k, u64 q,
+                  int n, u64 *sums)
 {
     const u64 m = UINT64_MAX / q;
     int64_t *cnt = NULL;
     u64 x[4] = {0, 0, 0, 0}, w[4] = {1, 1, 1, 1};
     int lanes = 0;
-    if (xs != NULL) {
+    if (dev) {
         cnt = calloc(n > 0 ? (size_t)n + 1 : 1, sizeof *cnt);
         if (cnt == NULL)
             return ML_NOMEM;
@@ -215,25 +180,45 @@ int ml_range_sums(const int64_t *xs, int64_t len, int k, u64 q, int n,
     }
     for (int i = 0; i < k; i++)
         sums[i] = 0;
-    /* the last pass runs past n with x = 0 in its free lanes */
-    for (int64_t v = 1; v <= n || lanes; v++) {
-        if (v > n) {
-            x[lanes] = 0;
-        } else if (cnt == NULL) {
-            x[lanes] = reduce((u64)v, q, m);
-        } else {
-            w[lanes] = cnt[v] ? reduce((u64)(cnt[v] - 1), q, m) : q - 1;
-            if (w[lanes] == 0)
-                continue;
-            x[lanes] = reduce((u64)v, q, m);
+    /* A last pass runs past the terms with x = 0 in its free lanes.  The
+       stream's own elements and the numbers 1..n take separate loops: one
+       loop for both made the deviation pass ~15% slower (n = 10^4, gcc 12
+       -O3 on x86-64). */
+    if (xs != NULL && !dev) {
+        for (int64_t t = 0; t < len || lanes; t++) {
+            if (t >= len) {
+                x[lanes] = 0;
+            } else if (xs[t] < 1 || xs[t] > n) {
+                return ML_OUT_OF_RANGE;
+            } else {
+                x[lanes] = reduce((u64)xs[t], q, m);
+            }
+            if (++lanes == 4) {
+                ingest4(sums, k, x, w, q, m);
+                lanes = 0;
+            }
         }
-        if (++lanes == 4) {
-            ingest4(sums, k, x, w, q, m);
-            lanes = 0;
+    } else {
+        for (int64_t v = 1; v <= n || lanes; v++) {
+            if (v > n) {
+                x[lanes] = 0;
+            } else if (cnt == NULL) {
+                x[lanes] = reduce((u64)v, q, m);
+            } else {
+                w[lanes] = cnt[v] ? reduce((u64)(cnt[v] - 1), q, m) : q - 1;
+                if (w[lanes] == 0)
+                    continue;
+                x[lanes] = reduce((u64)v, q, m);
+            }
+            if (++lanes == 4) {
+                ingest4(sums, k, x, w, q, m);
+                lanes = 0;
+            }
         }
+        free(cnt);
     }
-    free(cnt);
-    reduce_all(sums, k, q, m);
+    for (int i = 0; i < k; i++)
+        sums[i] = reduce(sums[i], q, m);
     return 0;
 }
 

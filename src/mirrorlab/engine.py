@@ -94,10 +94,6 @@ class GameConfig:
         if self.a + self.b > self.n and self.a != self.n:
             raise ValueError("a + b must not exceed n")
 
-    @property
-    def max_rounds(self) -> int:
-        return -(-self.n // (self.a + self.b))
-
 
 @dataclass(frozen=True)
 class MoveRecord:
@@ -138,10 +134,6 @@ class Transcript:
     @property
     def rounds(self) -> int:
         return -(-len(self.said) // (self.config.a + self.config.b))
-
-    @property
-    def utterances(self) -> int:
-        return len(self.said)
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())

@@ -254,29 +254,6 @@ def max_town_size(n: int, kind: TownKind, *,
     return _max_clique(vertices, lambda u, v: (u & v).bit_count() % 2 == ip)
 
 
-def enumerate_towns(n: int, kind: TownKind) -> list[SetFamily]:
-    """Every non-empty town on 1..n of the given kind (clique enumeration);
-    refuses n > EXHAUSTIVE_LIMIT."""
-    if n > EXHAUSTIVE_LIMIT:
-        raise TooLarge(f"exhaustive enumeration capped at n={EXHAUSTIVE_LIMIT}")
-    vertices = _eligible_masks(n, kind.set_parity, include_empty=True)
-    ip = kind.intersection_parity.value
-    out: list[SetFamily] = []
-
-    def grow(chosen: list[int], start: int):
-        if chosen:
-            out.append(SetFamily(n, list(chosen)))
-        for idx in range(start, len(vertices)):
-            v = vertices[idx]
-            if all((v & u).bit_count() % 2 == ip for u in chosen):
-                chosen.append(v)
-                grow(chosen, idx + 1)
-                chosen.pop()
-
-    grow([], 0)
-    return out
-
-
 def eventown_pairing(n: int) -> SetFamily:
     """All 2^(n/2) unions of the fixed pairs {1,2},{3,4},...: the classic
     exponential family with even sizes and even pairwise intersections."""

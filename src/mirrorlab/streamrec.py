@@ -143,7 +143,7 @@ class PowerSumSketch:
         if not isinstance(xs, (list, tuple)):
             xs = list(xs)
         q = self.field.q
-        add = _core.power_sums(xs, self.k, q, 1, self.field.n)
+        add = _core.power_sums(xs, self.k, q, self.field.n)
         self._sums = [(s + d) % q for s, d in zip(self._sums, add)]
         self.count += len(xs)
 

@@ -65,8 +65,10 @@ def test_batches_identical():
 def test_field_kernels_agree():
     f = select_prime(500)
     xs = list(range(1, 401))
-    assert (_fastcore.power_sums(xs, 40, f.q)
-            == _pycore.power_sums(xs, 40, f.q))
+    full = _core.full_power_sums(500, 40, f.q)
+    for sums in (full, None):  # by deviation, multiplied out
+        assert (_fastcore.power_sums(xs, 40, f.q, 500, sums)
+                == _pycore.power_sums(xs, 40, f.q, 500, sums))
     assert (_fastcore.full_power_sums(500, 33, f.q)
             == _pycore.full_power_sums(500, 33, f.q))
     e = [7, 123, 86, 5]
@@ -99,19 +101,30 @@ def _planted(roots, q):
 @pytest.mark.parametrize("q", FIELD_MODULI)
 def test_field_kernels_agree_on_every_lane_and_tail(q):
     rng = random.Random(q)
-    pool = [1, 2, q - 1, q, q + 1, -1, -q, 2**62, -2**62, 2**63 - 1, -2**63]
 
-    def element():
-        return rng.choice(pool) if rng.random() < 0.5 else rng.randrange(
-            -2**63, 2**63)
+    def stream(length, n):
+        """``length`` numbers of 1..n, half of them from the edges: 1, n,
+        and q - 1, q and q + 1 where they lie in 1..n."""
+        pool = [v for v in (1, 2, n, q - 1, q, q + 1) if 1 <= v <= n]
+        return [rng.choice(pool) if rng.random() < 0.5
+                else rng.randint(1, n) for _ in range(length)]
 
-    # lengths 0..7 run every tail of the 4-wide pass, alone and after one
-    streams = [[element() for _ in range(length)] for length in range(12)]
-    streams.append([element() for _ in range(1001)])
-    for xs in streams:
+    # lengths 0..7 run every tail of the 4-wide pass, alone and after one.
+    # Each is multiplied out over 1..MAX_SIZE, where q < n and elements at
+    # and past q occur, and by deviation over 1..n for n up to twice it,
+    # where absent numbers and repeats vary the count of terms.
+    for length in [*range(12), 1001]:
+        xs = stream(length, _core.MAX_SIZE)
         for k in SUM_COUNTS:
-            assert (_fastcore.power_sums(xs, k, q)
-                    == _pycore.power_sums(xs, k, q)), (xs, k)
+            assert (_fastcore.power_sums(xs, k, q, _core.MAX_SIZE, None)
+                    == _pycore.power_sums(xs, k, q, _core.MAX_SIZE,
+                                          None)), (xs, k)
+        for n in sorted({max(length, 1), 2 * length} - {0}):
+            xs = stream(length, n)
+            for k in SUM_COUNTS:
+                full = _core.full_power_sums(n, k, q)
+                assert (_fastcore.power_sums(xs, k, q, n, full)
+                        == _pycore.power_sums(xs, k, q, n, full)), (n, xs, k)
     # n runs through every count of tail lanes in the 8-wide root scan
     for n in [*range(18), 1001]:
         for k in SUM_COUNTS:
@@ -138,8 +151,9 @@ def test_python_deviation_ingest_and_chirp_scan_match_the_kernel():
         xs += rng.choices(range(1, n + 1), k=rng.randrange(4))
         rng.shuffle(xs)
         for k in (0, 1, 5, 33):
-            assert (_fastcore.deviation_sums(xs, k, q, n)
-                    == _pycore.deviation_sums(xs, k, q, n)), (n, xs, k)
+            full = _core.full_power_sums(n, k, q)
+            assert (_fastcore.power_sums(xs, k, q, n, full)
+                    == _pycore.power_sums(xs, k, q, n, full)), (n, xs, k)
         for k in (1, 3, 9, q + 1):
             roots = [rng.randint(1, n) for _ in range(k)]
             for e in (_planted(roots, q),
@@ -173,74 +187,106 @@ def _streams_over_a_range(draw):
 @example(stream=(1, [1, 1, 1]), k=2, q=10007)
 @example(stream=(5, [5, 1, 1, 5]), k=0, q=7)
 def test_deviation_sums_plus_full_sums_are_the_power_sums(stream, k, q):
-    # absent numbers, repeats, 1 and n, streams up to twice their range
+    # absent numbers, repeats, 1 and n, streams up to twice their range; on
+    # each core both paths give the brute sums, and so does _core's rule
     n, xs = stream
     want = _brute_power_sums(xs, k, q)
     full = _core.full_power_sums(n, k, q)
     for core in (_fastcore, _pycore):
-        dev = core.deviation_sums(xs, k, q, n)
-        assert [(f + d) % q for f, d in zip(full, dev)] == want, core
+        assert core.power_sums(xs, k, q, n, full) == want, core
+        assert core.power_sums(xs, k, q, n, None) == want, core
     for have_fast in (True, False):
-        assert _core_power_sums(have_fast, xs, k, q, 1, n) == want, have_fast
+        assert _core_power_sums(have_fast, xs, k, q, n) == want, have_fast
+
+
+# (stream, n) on each side of the rule's cut, 2 * len(stream) >= n
+RULE_CASES = (([1, 2, 3], 6), ([1, 2, 3], 7), ([2, 3, 4], 5), ([4, 4], 5),
+              ([1], 1), ([1], 3), ([], 1), ([], 0), ([], -5))
 
 
 @pytest.mark.parametrize("have_fast", [True, False],
                          ids=["kernel", "pure-python"])
 def test_power_sums_ingests_by_deviation_at_half_the_range(have_fast):
-    # the rule lives in _core.power_sums: a stream over 1..hi at least
-    # half as long as its range, on either core
+    # the rule lives in _core.power_sums: a stream at least half as long
+    # as its range goes by deviation, on either core.  The spies see the
+    # memoized sums that _core hands the core, and the terms the core then
+    # multiplies out: the kernel's dev flag, or the Python core's terms.
     core = _fastcore if have_fast else _pycore
-    calls = []
+    handed, terms = [], []
+    real_sums = core.power_sums
 
-    def spy(name):
-        real = getattr(core, name)
-        return lambda *args: calls.append(name) or real(*args)
+    def sums_spy(xs, k, q, n, full):
+        handed.append(full)
+        return real_sums(xs, k, q, n, full)
 
-    with mock.patch.object(core, "deviation_sums", spy("deviation_sums")), \
-            mock.patch.object(core, "power_sums", spy("power_sums")):
-        for xs, lo, hi in (([1, 2, 3], 1, 6), ([1, 2, 3], 1, 7),
-                           ([2, 3, 4], 2, 6), ([1], 1, 1), ([], 1, 1),
-                           ([], 1, 0), ([], 1, -5)):
-            _core.full_power_sums(hi, 4, 11)  # the Python one sums columns
-            calls.clear()
-            got = _core_power_sums(have_fast, xs, 4, 11, lo, hi)
-            assert got == _brute_power_sums(xs, 4, 11)
-            rule = lo == 1 and 1 <= hi <= 2 * len(xs)
-            assert calls == ["deviation_sums" if rule else "power_sums"], (
-                xs, lo, hi)
+    if have_fast:
+        real_kernel = _fastcore._range_sums
+        spy = (core, "_range_sums",
+               lambda *args: terms.append(bool(args[2])) or real_kernel(*args))
+    else:
+        real_weighted = _pycore._weighted_sums
+        spy = (_pycore, "_weighted_sums",
+               lambda xs, *rest: terms.append(list(xs))
+               or real_weighted(xs, *rest))
+    with mock.patch.object(core, "power_sums", sums_spy), \
+            mock.patch.object(*spy):
+        for xs, n in RULE_CASES:
+            full = _core.full_power_sums(n, 4, 11)  # the memo holds it now
+            handed.clear()
+            terms.clear()
+            assert _core_power_sums(have_fast, xs, 4, 11, n) == (
+                _brute_power_sums(xs, 4, 11))
+            dev = 2 * len(xs) >= n
+            assert handed == [full if dev else None], (xs, n)
+            if have_fast:
+                assert terms == [dev], (xs, n)
+            else:  # by deviation, the absent numbers and the repeats
+                absent = set(range(1, n + 1)) - set(xs)
+                repeats = {x for x in xs if xs.count(x) > 1}
+                want = sorted(absent | repeats) if dev else xs
+                assert [sorted(t) if dev else t for t in terms] == [want]
 
 
 @pytest.mark.parametrize("bad", [0, 11, 2**63, 1.5, 2.0],
                          ids=["zero", "n-plus-1", "2^63", "float", "int-float"])
 def test_deviation_sums_reject_the_same_elements(bad):
-    xs = [1, 2, 3, bad, 5, 6]
+    # a stream long enough for the deviation, and one that is multiplied out
+    long, short = [1, 2, 3, bad, 5, 6], [bad]
+    full = _core.full_power_sums(10, 3, 11)
     for core in (_fastcore, _pycore):
-        with pytest.raises(ValueError,
-                           match=r"^stream element outside 1\.\.10$"):
-            core.deviation_sums(xs, 3, 11, 10)
+        for xs, sums in ((long, full), (long, None), (short, None)):
+            with pytest.raises(ValueError,
+                               match=r"^stream element outside 1\.\.10$"):
+                core.power_sums(xs, 3, 11, 10, sums)
     for have_fast in (True, False):
-        with pytest.raises(ValueError,
-                           match=r"^stream element outside 1\.\.10$"):
-            _core_power_sums(have_fast, xs, 3, 11, 1, 10)
+        for xs in (long, short):
+            with pytest.raises(ValueError,
+                               match=r"^stream element outside 1\.\.10$"):
+                _core_power_sums(have_fast, xs, 3, 11, 10)
 
 
 def test_empty_and_negative_ranges_agree():
     for have_fast in (True, False):
         with pytest.raises(ValueError,
                            match=r"^stream element outside 1\.\.-5$"):
-            _core_power_sums(have_fast, [1], 2, 7, 1, -5)
+            _core_power_sums(have_fast, [1], 2, 7, -5)
         with mock.patch.object(_core, "HAVE_FAST", have_fast):
             assert _core.poly_root_scan([1, 2], -3, 7) == []
             assert _core.poly_root_scan([1, 2], 0, 7) == []
     for n in (-3, 0, 5):  # an empty stream, not the kernel's no-stream call
-        assert (_fastcore.deviation_sums([], 3, 11, n)
-                == _pycore.deviation_sums([], 3, 11, n))
+        full = _core.full_power_sums(n, 3, 11)
+        for sums in (full, None):
+            assert (_fastcore.power_sums([], 3, 11, n, sums)
+                    == _pycore.power_sums([], 3, 11, n, sums)
+                    == [0, 0, 0])
 
 
 def test_deviation_sums_take_bools_as_ints():
+    full = _core.full_power_sums(4, 3, 11)
     for core in (_fastcore, _pycore):
-        assert (core.deviation_sums([True, 2, 2, True], 3, 11, 4)
-                == core.deviation_sums([1, 2, 2, 1], 3, 11, 4))
+        for sums in (full, None):
+            assert (core.power_sums([True, 2, 2, True], 3, 11, 4, sums)
+                    == core.power_sums([1, 2, 2, 1], 3, 11, 4, sums))
 
 
 # The kernel's root scan steps a uint32 difference table for every modulus;
@@ -379,6 +425,13 @@ QUOTA = st.one_of(st.just(1), st.integers(1, 4))  # (1,1) games half the time
 SEED = st.integers(-2**63, 2**64 - 1)
 
 
+def _edge(cfg, alice, bob):
+    """An explicit example of the matchup at the edges of seed and trial
+    index."""
+    return example(n=cfg.n, a=cfg.a, b=cfg.b, alice=alice, bob=bob,
+                   seed=2**64 - 1, start=2**63 - 4, trials=4)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
@@ -386,6 +439,23 @@ SEED = st.integers(-2**63, 2**64 - 1)
        alice=st.sampled_from(CODABLE_ALICE), bob=st.sampled_from(CODABLE_BOB),
        seed=SEED, start=st.integers(-2**63, 2**63 - 4),
        trials=st.integers(1, 4))
+# a = n: Alice says every number in her first move
+@_edge(GameConfig(1), "odd-mirror", "random-unsaid")
+@_edge(GameConfig(5, 5, 1), "largest-unsaid", "smallest-unsaid")
+@_edge(GameConfig(4, 4, 3), "random-unsaid", "naive")
+# a + b = n: one round says every number
+@_edge(GameConfig(2), "naive", "mirror")
+@_edge(GameConfig(3, 1, 2), "random-unsaid", "tuple-mirror")
+@_edge(GameConfig(7, 3, 4), "smallest-unsaid", "largest-unsaid")
+# rand-sqrt at its smallest n
+@_edge(GameConfig(16), "rand-sqrt", "random-unsaid")
+@_edge(GameConfig(16), "rand-sqrt", "largest-unsaid")
+# one MATCHUPS entry for each kernel-codable strategy class
+@_edge(*MATCHUPS[0])   # SmallestUnsaid (naive), MirrorBob
+@_edge(*MATCHUPS[1])   # OddMirrorAlice
+@_edge(*MATCHUPS[3])   # UniformRandomUnsaid, TupleMirrorBob
+@_edge(*MATCHUPS[6])   # RandLogAlice, LargestUnsaid
+@_edge(*MATCHUPS[8])   # RandSqrtAlice
 def test_random_matchups_agree(n, a, b, alice, bob, seed, start, trials):
     try:
         cfg = GameConfig(n, a, b)

@@ -10,8 +10,9 @@ from mirrorlab.engine import (BitWriter, BudgetExceeded, GameConfig,
                               MalformedMove, Outcome, Player, Strategy,
                               Transcript, replay, run_game,
                               uint_bits)
-from mirrorlab.strategies import (ConstantStrategy, MirrorBob, ScriptedStrategy,
-                                  SmallestUnsaid, TupleMirrorBob)
+from mirrorlab.strategies import MirrorBob, SmallestUnsaid, TupleMirrorBob
+
+from fixed_strategies import ConstantStrategy, ScriptedStrategy
 
 
 class Hoarder(Strategy):
@@ -58,14 +59,23 @@ class TestGameConfig:
         with pytest.raises(ValueError):
             GameConfig(3, 4, 1)  # Alice cannot even move
 
+    @staticmethod
+    def full_game(cfg):
+        """A game in which both say the smallest unsaid numbers, so that
+        every number is said."""
+        t = run_game(SmallestUnsaid(cfg.n, cfg.a), SmallestUnsaid(cfg.n, cfg.b),
+                     cfg, seed=0)
+        assert t.outcome is Outcome.BOTH_WIN and len(t.said) == cfg.n
+        return t
+
     def test_degenerate_alice_covers_everything(self):
         # a == n: Alice finishes before Bob ever moves
-        cfg = GameConfig(1, 1, 1)
-        assert cfg.max_rounds == 1
+        assert self.full_game(GameConfig(1, 1, 1)).rounds == 1
 
     def test_max_rounds(self):
-        assert GameConfig(6, 1, 2).max_rounds == 2
-        assert GameConfig(7, 1, 2).max_rounds == 3
+        # a game that says every number lasts ceil(n / (a + b)) rounds
+        assert self.full_game(GameConfig(6, 1, 2)).rounds == 2
+        assert self.full_game(GameConfig(7, 1, 2)).rounds == 3
 
 
 class TestRunGame:
@@ -101,7 +111,7 @@ class TestRunGame:
             assert players[::2] == [Player.ALICE] * (n // 2)
             assert players[1::2] == [Player.BOB] * (n // 2)
             assert t.rounds == n // 2
-            assert t.utterances == n
+            assert len(t.said) == n
 
     def test_determinism_byte_identical(self):
         cfg = GameConfig(20)

@@ -9,10 +9,11 @@ from mirrorlab.engine import GameConfig, MalformedMove
 from mirrorlab.harness import (ExperimentSpec, enumerate_occurring,
                                exhaust_games, memory_profile, montecarlo)
 from mirrorlab.setfam import TooLarge, check_covering, covering_lower_bound
-from mirrorlab.strategies import (AvoidSubset, ConstantStrategy, LargestUnsaid,
-                                  MirrorBob, OddMirrorAlice, PreferSubset,
-                                  SmallestUnsaid, TupleMirrorBob,
-                                  UniformRandomUnsaid)
+from mirrorlab.strategies import (AvoidSubset, LargestUnsaid, MirrorBob,
+                                  OddMirrorAlice, PreferSubset, SmallestUnsaid,
+                                  TupleMirrorBob, UniformRandomUnsaid)
+
+from fixed_strategies import ConstantStrategy
 
 
 class TestMonteCarlo:
@@ -87,7 +88,6 @@ class TestExhaustGames:
         # smallest-unsaid as Bob does lose some lines, e.g. Alice plays 2
         # first on n=2 and Bob's smallest-unsaid is 1... n=2: Alice says 2,
         # Bob says 1: both win. Use a strategy that can actually lose:
-        from mirrorlab.strategies import ConstantStrategy
         games, losses = exhaust_games(ConstantStrategy([1]), "B", GameConfig(2))
         assert games == 2 and losses == 1  # loses when Alice opened with 1
 

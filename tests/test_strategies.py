@@ -10,8 +10,7 @@ from mirrorlab.engine import GameConfig, Outcome, run_game, uint_bits
 from mirrorlab.harness import enumerate_occurring, exhaust_games
 from mirrorlab.rng import SplitMix64, derive_seed
 from mirrorlab.strategies import (_ALICE_ONLY, _BOB_ONLY, STRATEGY_NAMES,
-                                  AvoidSubset, BitmapStrategy,
-                                  ConstantStrategy, LargestUnsaid,
+                                  AvoidSubset, BitmapStrategy, LargestUnsaid,
                                   MatchingOracle, MirrorBob, OddMirrorAlice,
                                   PreferSubset, RandLogAlice, RandSqrtAlice,
                                   SmallestUnsaid, TupleMirrorBob,
@@ -19,6 +18,8 @@ from mirrorlab.strategies import (_ALICE_ONLY, _BOB_ONLY, STRATEGY_NAMES,
                                   make_strategy, parse_spec, sample_matching,
                                   spec_needs_matching)
 from mirrorlab.streamrec import PowerSumSketch
+
+from fixed_strategies import ConstantStrategy, ScriptedStrategy
 
 
 class TestMatchingOracle:
@@ -74,7 +75,6 @@ class TestMirrorFamilies:
             assert losses == 0 and games > 0
 
     def test_odd_mirror_traces(self):
-        from mirrorlab.strategies import ScriptedStrategy
         for bob_first, rest in [((1,), (2,)), ((2,), (1,))]:
             t = run_game_pair(OddMirrorAlice(3), ScriptedStrategy([bob_first]),
                               GameConfig(3))

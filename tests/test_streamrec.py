@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorlab import _core
-from mirrorlab._core import INT64_MAX, INT64_MIN, _pycore
+from mirrorlab._core import _pycore
 from mirrorlab.engine import GameConfig, run_game
 from mirrorlab.rng import SplitMix64
 from mirrorlab.strategies import make_players
@@ -459,11 +459,11 @@ class TestRecoverMissing:
         assert len(_core._FULL_SUMS) == _core._FULL_SUMS_PAIRS
 
 
-def python_power_sums(xs, k, q, lo, hi):
+def python_power_sums(xs, k, q, n):
     """``_core.power_sums`` on the pure-Python core, which ingests a stream
-    over 1..hi at least half as long as its range by deviation."""
+    over 1..n at least half as long as its range by deviation."""
     with mock.patch.object(_core, "HAVE_FAST", False):
-        return _core.power_sums(xs, k, q, lo, hi)
+        return _core.power_sums(xs, k, q, n)
 
 
 class TestPurePythonFieldPaths:
@@ -505,8 +505,9 @@ class TestPurePythonFieldPaths:
         # a range from max(xs) up to 40 past it: repeats, absent numbers and
         # streams longer than their range, on either side of the 2x cut
         n = max(xs, default=1) + extra
-        got = python_power_sums(xs, k, q, 1, n)
-        assert got == _pycore.power_sums(xs, k, q) == brute_power_sums(xs, k, q)
+        got = python_power_sums(xs, k, q, n)
+        assert (got == _pycore.power_sums(xs, k, q, n, None)
+                == brute_power_sums(xs, k, q))
 
     @pytest.mark.parametrize("xs,n", [([], 1), ([], 5), ([1], 1), ([1, 1, 1], 1),
                                       ([3, 1, 2] * 4, 3), ([5, 5, 1], 5)],
@@ -515,22 +516,21 @@ class TestPurePythonFieldPaths:
     def test_deviation_ingest_edge_streams(self, xs, n):
         for q in (1, 2, 7, 10007):
             for k in (0, 1, 4):
-                assert (python_power_sums(xs, k, q, 1, n)
+                assert (python_power_sums(xs, k, q, n)
                         == brute_power_sums(xs, k, q)), (q, k)
 
     def test_bools_are_ints_and_floats_are_not(self):
+        # on either path: multiplied out over 1..40, by deviation over 1..3
         for xs in ([True, 2, 3, True], [True] * 3 + [2] * 5):
             as_ints = [int(x) for x in xs]
-            for lo, hi in ((1, 3), (INT64_MIN, INT64_MAX)):
-                assert (python_power_sums(xs, 3, 7, lo, hi)
-                        == python_power_sums(as_ints, 3, 7, lo, hi))
+            for n in (3, 40):
+                assert (python_power_sums(xs, 3, 7, n)
+                        == python_power_sums(as_ints, 3, 7, n))
         for xs in ([1.0, 2, 3], [1, 2, 3, 3, 2.0], [1.5]):
-            with pytest.raises(ValueError,
-                               match=r"^stream element outside 1\.\.3$"):
-                python_power_sums(xs, 2, 7, 1, 3)
-            with pytest.raises(ValueError, match="^stream elements must be "
-                                                 "integers that fit"):
-                _pycore.power_sums(xs, 2, 7)
+            for n in (3, 40):
+                with pytest.raises(ValueError,
+                                   match=rf"^stream element outside 1\.\.{n}$"):
+                    python_power_sums(xs, 2, 7, n)
 
     @pytest.mark.parametrize("k", [1, 32, 64])
     def test_recovery_at_the_benchmark_size(self, k):
@@ -543,8 +543,8 @@ class TestPurePythonFieldPaths:
         gone = set(missing)
         xs = [v for v in range(1, n + 1) if v not in gone]
         rng.shuffle(xs)
-        sums = python_power_sums(xs, k, q, 1, n)
-        assert sums == _pycore.power_sums(xs, k, q)
+        sums = python_power_sums(xs, k, q, n)
+        assert sums == _pycore.power_sums(xs, k, q, n, None)
         full = _pycore.full_power_sums(n, k, q)
         e = elementary_from_power([(f - s) % q for f, s in zip(full, sums)],
                                   field)
